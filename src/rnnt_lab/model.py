@@ -9,6 +9,7 @@ parameters: they enter the tape as leaves and receive no gradient.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass
 
@@ -112,39 +113,14 @@ class LstmLayer:
             out += [(f"{prefix}.ln_gain", self.ln_gain), (f"{prefix}.ln_bias", self.ln_bias)]
         return out
 
-    def step(self, x_row: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        gates = nm.add_row(nm.add(nm.matmul(x_row, self.w), nm.matmul(h, self.r)), self.b)
-        if self.layer_norm:
-            gates = nm.layer_norm(gates, self.ln_gain, self.ln_bias)
-        hh = self.hidden
-        i = nm.sigmoid(nm.slice_cols(gates, 0, hh))
-        f = nm.sigmoid(nm.slice_cols(gates, hh, 2 * hh))
-        g = nm.tanh(nm.slice_cols(gates, 2 * hh, 3 * hh))
-        o = nm.sigmoid(nm.slice_cols(gates, 3 * hh, 4 * hh))
-        c_new = nm.add(nm.mul(f, c), nm.mul(i, g))
-        h_new = nm.mul(o, nm.tanh(c_new))
-        return h_new, c_new
-
-    def step_np(self, x_row: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Inference-only mirror of step(); same op order, plain arrays."""
-        gates = x_row @ self.w.data + h @ self.r.data + self.b.data
-        if self.layer_norm:
-            mu = gates.mean(axis=-1, keepdims=True)
-            centered = gates - mu
-            var = (centered * centered).mean(axis=-1, keepdims=True)
-            gates = centered / np.sqrt(var + 1e-5) * self.ln_gain.data + self.ln_bias.data
-        hh = self.hidden
-        i = 1.0 / (1.0 + np.exp(-gates[:, :hh]))
-        f = 1.0 / (1.0 + np.exp(-gates[:, hh : 2 * hh]))
-        g = np.tanh(gates[:, 2 * hh : 3 * hh])
-        o = 1.0 / (1.0 + np.exp(-gates[:, 3 * hh :]))
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
-        return h_new, c_new
-
 
 class LstmStack:
-    """Unidirectional stacked LSTM; output at t depends only on inputs <= t."""
+    """Unidirectional stacked LSTM; output at t depends only on inputs <= t.
+
+    Training and decoding share one cell (``numerics.lstm_cell``): ``forward``
+    runs each layer as one taped ``lstm_layer`` record, ``step`` advances the
+    untaped per-layer (1, H) states by one input row.
+    """
 
     def __init__(self, in_dim: int, hidden: int, num_layers: int,
                  rng: np.random.Generator, layer_norm: bool):
@@ -161,24 +137,19 @@ class LstmStack:
             out.extend(layer.named_parameters(f"{prefix}.l{i}"))
         return out
 
-    def forward_rows(self, rows: list[Tensor]) -> list[Tensor]:
+    def forward(self, x: Tensor) -> Tensor:
         for layer in self.layers:
-            h = nm.zeros(1, layer.hidden)
-            c = nm.zeros(1, layer.hidden)
-            out_rows = []
-            for x_row in rows:
-                h, c = layer.step(x_row, h, c)
-                out_rows.append(h)
-            rows = out_rows
-        return rows
+            x = nm.lstm_layer(x, layer.w, layer.r, layer.b, layer.ln_gain, layer.ln_bias)
+        return x
 
     def initial_state(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(np.zeros((1, l.hidden)), np.zeros((1, l.hidden))) for l in self.layers]
 
-    def step_np(self, state, x_row: np.ndarray):
+    def step(self, state, x_row: np.ndarray):
         new_state = []
         for layer, (h, c) in zip(self.layers, state):
-            h, c = layer.step_np(x_row, h, c)
+            ln = (layer.ln_gain.data, layer.ln_bias.data) if layer.layer_norm else (None, None)
+            h, c, _ = nm.lstm_cell(x_row @ layer.w.data, h, c, layer.r.data, layer.b.data, *ln)
             new_state.append((h, c))
             x_row = h
         return x_row, new_state
@@ -243,8 +214,10 @@ class TransducerModel:
             t.data[...] = src
 
     def clone(self) -> "TransducerModel":
-        other = TransducerModel(self.config)
-        other.load_state(self.state_dict())
+        """An independent copy of config and weights, without gradients."""
+        other = copy.deepcopy(self)
+        for p in other.parameters():
+            p.zero_grad()
         return other
 
     # -- forward passes --------------------------------------------------------
@@ -257,17 +230,11 @@ class TransducerModel:
             raise ShapeError(
                 f"encode: input width {x.shape[1]} != input_dim*stack_factor "
                 f"({self.config.encoder_input_dim})")
-        rows = [Tensor(x.data[t : t + 1]) for t in range(x.shape[0])]
-        return nm.stack_rows(self.encoder.forward_rows(rows))
+        return self.encoder.forward(Tensor(x.data))  # a fresh leaf: features get no grad
 
     def predict(self, y_prefix: list[int]) -> Tensor:
         """Label-history pass: prefix of U token ids -> (U+1, H); row 0 is the start context."""
-        for y in y_prefix:
-            if not (0 <= y < self.config.vocab_size):
-                raise ShapeError(f"predict: token id {y} outside vocab of {self.config.vocab_size}")
-        rows = [nm.zeros(1, self.config.hidden)]  # all-zero start embedding
-        rows += [nm.embed_token(self.embedding, y) for y in y_prefix]
-        return nm.stack_rows(self.prediction.forward_rows(rows))
+        return self.prediction.forward(nm.embed_prefix(self.embedding, y_prefix))
 
     def joint(self, h_enc: Tensor, h_pre: Tensor) -> Tensor:
         """Lattice of logits: (T, H) x (U+1, H) -> (T, U+1, K+1)."""
@@ -288,23 +255,19 @@ class TransducerModel:
 
     def encode_frames(self, features) -> np.ndarray:
         data = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
-        out, state = [], self.encoder.initial_state()
         if data.ndim != 2 or data.shape[0] == 0:
             raise ShapeError(f"encode_frames: need a nonempty (T, D) input, got shape {data.shape}")
-        for t in range(data.shape[0]):
-            row, state = self.encoder.step_np(state, data[t : t + 1])
-            out.append(row[0])
-        return np.array(out)
+        return self.encoder.forward(Tensor(data)).data
 
     def prediction_start(self):
         state = self.prediction.initial_state()
-        row, state = self.prediction.step_np(state, np.zeros((1, self.config.hidden)))
+        row, state = self.prediction.step(state, np.zeros((1, self.config.hidden)))
         return row[0], state
 
     def prediction_step(self, state, token_id: int):
         if not (0 <= token_id < self.config.vocab_size):
             raise ShapeError(f"prediction_step: token id {token_id} outside vocab")
-        row, state = self.prediction.step_np(state, self.embedding.data[token_id : token_id + 1])
+        row, state = self.prediction.step(state, self.embedding.data[token_id : token_id + 1])
         return row[0], state
 
     def joint_row(self, h_enc_row: np.ndarray, h_pre_row: np.ndarray) -> np.ndarray:

@@ -53,10 +53,6 @@ def tensor(values) -> Tensor:
     return Tensor(np.asarray(values, dtype=np.float64))
 
 
-def zeros(*shape: int) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
 class OpRecord:
     """One executed primitive: inputs, output, and the grad-accumulating closure."""
 
@@ -205,30 +201,19 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return out
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Concatenate T row tensors of shape (1, n) into a (T, n) tensor."""
-    if not rows:
-        raise ShapeError("stack_rows: empty row list")
-    out = Tensor(np.concatenate([r.data for r in rows], axis=0))
+def embed_prefix(table: Tensor, ids: Sequence[int]) -> Tensor:
+    """An all-zero start row followed by the table rows of ``ids``: (len(ids) + 1, n)."""
+    idx = np.asarray(ids, dtype=np.int64).reshape(-1)
+    rows = table.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        bad = int(idx[(idx < 0) | (idx >= rows)][0])
+        raise ShapeError(f"embed_prefix: id {bad} outside table of {rows} rows")
+    out = Tensor(np.concatenate([np.zeros((1, table.shape[1])), table.data[idx]]))
 
     def backward(g):
-        for i, r in enumerate(rows):
-            r.ensure_grad()[...] += g[i : i + 1]
+        np.add.at(table.ensure_grad(), idx, g[1:])
 
-    _record("stack_rows", tuple(rows), out, backward)
-    return out
-
-
-def embed_token(table: Tensor, token_id: int) -> Tensor:
-    """Select one row of an embedding table as a (1, n) tensor."""
-    if not (0 <= token_id < table.shape[0]):
-        raise ShapeError(f"embed_token: id {token_id} outside table of {table.shape[0]} rows")
-    out = Tensor(table.data[token_id : token_id + 1])
-
-    def backward(g):
-        table.ensure_grad()[token_id] += g[0]
-
-    _record("embed_token", (table,), out, backward)
+    _record("embed_prefix", (table,), out, backward)
     return out
 
 
@@ -279,29 +264,141 @@ def log_softmax(x: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5
+
+
+def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS):
+    """Layer norm over the last axis; returns (y, xhat, inv) where inv = 1/std."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_input_grad(gx: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """d/dx of xhat applied to gx = dL/dy * gain: inv * (gx - mean(gx) - xhat * mean(gx * xhat))."""
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gx - m1 - xhat * m2)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"layer_norm: gain/bias must be ({n},), got {gain.shape}, {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    y, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data, eps)
+    out = Tensor(y)
     lead = tuple(range(x.data.ndim - 1))
 
     def backward(g):
-        gx = g * gain.data
-        # d/dx of xhat: inv * (gx - mean(gx) - xhat * mean(gx * xhat))
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        x.ensure_grad()[...] += inv * (gx - m1 - xhat * m2)
+        x.ensure_grad()[...] += _layer_norm_input_grad(g * gain.data, xhat, inv)
         gain.ensure_grad()[...] += (g * xhat).sum(axis=lead) if lead else (g * xhat)
         bias.ensure_grad()[...] += g.sum(axis=lead) if lead else g
 
     _record("layer_norm", (x, gain, bias), out, backward)
+    return out
+
+
+def lstm_cell(xw: np.ndarray, h: np.ndarray, c: np.ndarray, r: np.ndarray, b: np.ndarray,
+              ln_gain: np.ndarray | None = None, ln_bias: np.ndarray | None = None):
+    """One LSTM step on plain arrays; the only LSTM cell, for training and decoding.
+
+    ``xw`` is the step's input projection x @ W as a (1, 4H) row, ``h`` and
+    ``c`` the (1, H) states, ``r`` the (H, 4H) recurrent weights. Gates are
+    packed i, f, g, o; with ``ln_gain``/``ln_bias`` the 4H pre-activation is
+    layer-normalized. Returns (h_new, c_new, acts): ``acts`` is what BPTT
+    needs, (a, tanh(c_new), xhat, inv) with ``a`` the packed gate activations
+    and xhat/inv the layer-norm terms (None without layer norm).
+    """
+    z = xw + h @ r + b
+    xhat = inv = None
+    if ln_gain is not None:
+        z, xhat, inv = _layer_norm_forward(z, ln_gain, ln_bias)
+    hh = c.shape[1]
+    a = 1.0 / (1.0 + np.exp(-z))
+    a[:, 2 * hh : 3 * hh] = np.tanh(z[:, 2 * hh : 3 * hh])
+    c_new = a[:, hh : 2 * hh] * c + a[:, :hh] * a[:, 2 * hh : 3 * hh]
+    tc = np.tanh(c_new)
+    return a[:, 3 * hh :] * tc, c_new, (a, tc, xhat, inv)
+
+
+def lstm_layer(x: Tensor, w: Tensor, r: Tensor, b: Tensor,
+               ln_gain: Tensor | None = None, ln_bias: Tensor | None = None) -> Tensor:
+    """A whole LSTM layer over a (T, D) sequence from zero state: (T, H) hidden rows.
+
+    Forward is one input GEMM x @ w for all frames, then ``lstm_cell`` per
+    step. Taped, it writes one record whose backward is analytic BPTT over the
+    saved gate activations; untaped, nothing is kept for backward.
+    """
+    if x.data.ndim != 2 or x.shape[0] == 0:
+        raise ShapeError(f"lstm_layer: need a nonempty (T, D) input, got shape {x.shape}")
+    hh = r.shape[0]
+    if w.shape != (x.shape[1], 4 * hh) or r.shape != (hh, 4 * hh) or b.shape != (4 * hh,):
+        raise ShapeError(f"lstm_layer: shapes x {x.shape}, w {w.shape}, r {r.shape}, "
+                         f"b {b.shape} incompatible")
+    if (ln_gain is None) != (ln_bias is None) or (
+            ln_gain is not None and (ln_gain.shape != (4 * hh,) or ln_bias.shape != (4 * hh,))):
+        raise ShapeError(f"lstm_layer: layer norm needs gain and bias of shape ({4 * hh},)")
+    ln = (None, None) if ln_gain is None else (ln_gain.data, ln_bias.data)
+    tape = active_tape()
+    xw = x.data @ w.data
+    h = np.zeros((1, hh))
+    c = np.zeros((1, hh))
+    hs, cs, saved = [], [c], []
+    with np.errstate(over="ignore"):
+        for t in range(x.shape[0]):
+            h, c, acts = lstm_cell(xw[t : t + 1], h, c, r.data, b.data, *ln)
+            hs.append(h)
+            if tape is not None:
+                cs.append(c)
+                saved.append(acts)
+    out = Tensor(np.concatenate(hs))
+    if tape is None:
+        return out
+
+    def backward(g):
+        t_len = len(saved)
+        a = np.concatenate([s[0] for s in saved])
+        tc = np.concatenate([s[1] for s in saved])
+        c_prev = np.concatenate(cs[:-1])
+        h_prev = np.concatenate([np.zeros((1, hh)), out.data[:-1]])
+        i, f, gg, o = (a[:, k * hh : (k + 1) * hh] for k in range(4))
+        # dz (the 4H pre-activation grad) = dc * p for i, f, g and dh * q for o
+        p = np.stack([gg * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - gg * gg)], axis=1)
+        q = tc * o * (1.0 - o)
+        dc_dh = o * (1.0 - tc * tc)
+        dz = np.empty((t_len, 4, hh))
+        rt = r.data.T
+        if ln_gain is not None:
+            xhat = np.concatenate([s[2] for s in saved])
+            inv = np.concatenate([s[3] for s in saved])
+            dz_pre = np.empty((t_len, 4 * hh))
+        dh_next = np.zeros(hh)
+        dc_next = np.zeros(hh)
+        for t in range(t_len - 1, -1, -1):
+            dh = g[t] + dh_next
+            dc = dc_next + dh * dc_dh[t]
+            np.multiply(dc, p[t], out=dz[t, :3])
+            np.multiply(dh, q[t], out=dz[t, 3])
+            dzt = dz[t].reshape(4 * hh)
+            if ln_gain is not None:
+                dzt = dz_pre[t] = _layer_norm_input_grad(dzt * ln[0], xhat[t], inv[t])
+            dh_next = dzt @ rt
+            dc_next = dc * f[t]
+        dz = dz.reshape(t_len, 4 * hh)
+        if ln_gain is not None:
+            ln_gain.ensure_grad()[...] += (dz * xhat).sum(axis=0)
+            ln_bias.ensure_grad()[...] += dz.sum(axis=0)
+            dz = dz_pre
+        x.ensure_grad()[...] += dz @ w.data.T
+        w.ensure_grad()[...] += x.data.T @ dz
+        r.ensure_grad()[...] += h_prev.T @ dz
+        b.ensure_grad()[...] += dz.sum(axis=0)
+
+    inputs = (x, w, r, b) if ln_gain is None else (x, w, r, b, ln_gain, ln_bias)
+    _record("lstm_layer", inputs, out, backward)
     return out
 
 
@@ -357,9 +454,11 @@ def global_grad_norm(params: Sequence[Tensor]) -> float:
 
 
 def clip_global_norm(params: Sequence[Tensor], max_norm: float) -> float:
-    """Scale all grads so their global norm is at most max_norm; returns the pre-clip norm."""
+    """Scale all grads so their global norm is at most max_norm; returns the pre-clip norm.
+
+    A non-finite norm leaves the grads as they are."""
     norm = global_grad_norm(params)
-    if norm > max_norm > 0.0:
+    if math.isfinite(norm) and norm > max_norm > 0.0:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
@@ -387,8 +486,11 @@ class Adam:
             p.zero_grad()
 
     def step(self) -> None:
-        if self.clip_norm:
-            clip_global_norm(self.params, self.clip_norm)
+        """One clipped update; a non-finite pre-clip gradient norm raises before
+        any weight or moment is written."""
+        norm = clip_global_norm(self.params, self.clip_norm or 0.0)
+        if not math.isfinite(norm):
+            raise NumericsError(f"Adam.step {self.t + 1}: non-finite gradient norm {norm}")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t

@@ -183,6 +183,7 @@ def test_criterion_4_label_tensor_round_trip(worked_example):
         assert path.tolist() == [1, 1, 1, 2, 2, blank, 3, 3]  # 1-frame space -> blank
 
 
+@pytest.mark.slow
 def test_criterion_5_encoder_init_trend(default_run):
     with criterion(5, "encoder CE beats random; CTC within 10% of random"):
         cfg, summary, elapsed, _ = default_run
@@ -197,6 +198,7 @@ def test_criterion_5_encoder_init_trend(default_run):
         assert elapsed < 900.0, f"experiment took {elapsed:.0f}s (budget 15 min)"
 
 
+@pytest.mark.slow
 def test_criterion_6_whole_network_trend(default_run):
     with criterion(6, "every whole-network variant at or below random"):
         _, summary, _, _ = default_run
@@ -208,6 +210,7 @@ def test_criterion_6_whole_network_trend(default_run):
             assert err <= random_err
 
 
+@pytest.mark.slow
 def test_criterion_7_delay_trend(default_run):
     with criterion(7, "pre-trained models emit earlier than random"):
         _, summary, _, _ = default_run
@@ -238,6 +241,7 @@ def test_criterion_8_beam_properties():
             assert w5.log_prob >= greedy.log_prob - 1e-12
 
 
+@pytest.mark.slow
 def test_criterion_9_experiment_determinism(tmp_path):
     with criterion(9, "same config and seed give a byte-identical metrics CSV"):
         model = ModelConfig(input_dim=4, stack_factor=2, stack_stride=2,

@@ -185,3 +185,33 @@ def test_model_seeding_is_deterministic(tiny_config):
     c = TransducerModel(tiny_config, seed=6)
     assert any(not np.array_equal(pa.data, pc.data)
                for (_, pa), (_, pc) in zip(a.named_parameters(), c.named_parameters()))
+
+
+def test_taped_utterance_writes_one_record_per_lstm_layer():
+    cfg = ModelConfig()
+    model = TransducerModel(cfg, seed=1)
+    rng = np.random.default_rng(2)
+    feats = Tensor(rng.normal(size=(9, cfg.encoder_input_dim)))
+    targets = [3, 1, 4, 1]
+    with Tape() as tape:
+        rnnt_loss(model.forward(feats, targets), targets, cfg.blank_id)
+    # 2 encoder layers + gather + 1 prediction layer + 5 joint ops + 1 loss
+    assert [rec.name for rec in tape.records] == [
+        "lstm_layer", "lstm_layer", "embed_prefix", "lstm_layer",
+        "matmul", "matmul", "outer_add", "add_row", "affine_last", "rnnt_loss"]
+
+
+def test_clone_is_equal_and_independent(tiny_model):
+    tiny_model.encoder.layers[0].w.ensure_grad()[...] = 1.0
+    other = tiny_model.clone()
+    assert other.config == tiny_model.config and other.config is not tiny_model.config
+    for (name, a), (_, b) in zip(tiny_model.named_parameters(), other.named_parameters()):
+        assert np.array_equal(a.data, b.data), name
+        assert b.grad is None
+    before = tiny_model.state_dict()
+    for _, p in other.named_parameters():
+        p.data += 1.0
+    other.config.hidden += 1
+    after = tiny_model.state_dict()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+    assert tiny_model.config.hidden == 5

@@ -5,7 +5,6 @@ import pytest
 
 from rnnt_lab import Adam, NumericsError, ShapeError, Tape, Tensor, grad_check, logsumexp
 from rnnt_lab import numerics as nm
-from rnnt_lab.model import LstmLayer
 
 
 def test_matmul_identity():
@@ -101,21 +100,71 @@ def test_grad_check_quadratic():
     assert grad_check(f, [x], eps=1e-5) < 1e-8
 
 
-def test_grad_check_lstm_cell():
-    rng = np.random.default_rng(17)
-    layer = LstmLayer(in_dim=3, hidden=4, rng=rng, layer_norm=False)
-    x = Tensor(rng.uniform(-1, 1, size=(1, 3)))
-    w = rng.uniform(-1, 1, size=(1, 4))
-    params = [layer.w, layer.r, layer.b]
+def reference_lstm(x, w, r, b, gain=None, bias=None):
+    """Per-step LSTM on plain arrays, gates packed i, f, g, o: the oracle for lstm_layer."""
+    hh = r.shape[0]
+    h, c, out = np.zeros(hh), np.zeros(hh), []
+    for row in x:
+        z = row @ w + h @ r + b
+        if gain is not None:
+            z = (z - z.mean()) / np.sqrt(z.var() + 1e-5) * gain + bias
+        i = 1.0 / (1.0 + np.exp(-z[:hh]))
+        f = 1.0 / (1.0 + np.exp(-z[hh : 2 * hh]))
+        g = np.tanh(z[2 * hh : 3 * hh])
+        o = 1.0 / (1.0 + np.exp(-z[3 * hh :]))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        out.append(h)
+    return np.array(out)
 
+
+def lstm_inputs(rng, t_len, layer_norm, d=3, hh=4):
+    """x, w, r, b (and ln_gain, ln_bias) for nm.lstm_layer."""
+    x = Tensor(rng.uniform(-1, 1, size=(t_len, d)))
+    w = Tensor(rng.uniform(-0.6, 0.6, size=(d, 4 * hh)))
+    r = Tensor(rng.uniform(-0.6, 0.6, size=(hh, 4 * hh)))
+    b = Tensor(rng.uniform(-0.3, 0.3, size=4 * hh))
+    ln = [Tensor(rng.uniform(0.5, 1.5, size=4 * hh)),
+          Tensor(rng.uniform(-0.5, 0.5, size=4 * hh))] if layer_norm else []
+    return [x, w, r, b, *ln]
+
+
+def lstm_loss(params, seed):
+    """f() for grad_check: sum(seed * lstm_layer(*params)), backward on a fresh tape."""
     def f():
         with Tape() as tape:
-            h, c = layer.step(x, nm.zeros(1, 4), nm.zeros(1, 4))
-            h2, _ = layer.step(x, h, c)  # two steps so recurrence matters
-            tape.backward(h2, seed=w)
-        return float((h2.data * w).sum())
+            h = nm.lstm_layer(*params)
+            tape.backward(h, seed=seed)
+        return float((h.data * seed).sum())
+    return f
 
-    assert grad_check(f, params, eps=1e-5) < 1e-4
+
+def test_grad_check_lstm_cell():
+    rng = np.random.default_rng(17)
+    x, w, r, b = lstm_inputs(rng, 2, layer_norm=False)  # two steps so recurrence matters
+    seed = np.vstack([np.zeros(4), rng.uniform(-1, 1, size=4)])  # loss on the last step only
+    assert grad_check(lstm_loss([x, w, r, b], seed), [w, r, b], eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("t_len, layer_norm", [(1, False), (4, False), (4, True)])
+def test_lstm_layer_gradients(t_len, layer_norm):
+    rng = np.random.default_rng(100 + t_len)
+    params = lstm_inputs(rng, t_len, layer_norm)
+    seed = rng.uniform(-1, 1, size=(t_len, 4))
+    assert grad_check(lstm_loss(params, seed), params, eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_lstm_layer_matches_per_step_reference(layer_norm):
+    rng = np.random.default_rng(41)
+    inputs = lstm_inputs(rng, 9, layer_norm, d=5, hh=6)
+    want = reference_lstm(*(t.data for t in inputs))
+    with Tape() as tape:
+        taped = nm.lstm_layer(*inputs)
+    assert len(tape.records) == 1
+    untaped = nm.lstm_layer(*inputs)
+    assert np.abs(taped.data - want).max() <= 1e-12
+    assert np.array_equal(untaped.data, taped.data)
 
 
 def test_layer_norm_gradient():
@@ -136,7 +185,7 @@ def test_layer_norm_gradient():
 
 @pytest.mark.parametrize("op_name", ["add", "mul", "add_row", "sigmoid", "tanh",
                                      "outer_add", "affine_last", "log_softmax",
-                                     "slice_cols", "embed_token"])
+                                     "slice_cols", "embed_prefix"])
 def test_primitive_gradients_random_inputs(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
     a = Tensor(rng.uniform(-1, 1, size=(3, 4)))
@@ -154,7 +203,7 @@ def test_primitive_gradients_random_inputs(op_name):
         "affine_last": (lambda: nm.affine_last(a, w34, bias3), [a, w34, bias3]),
         "log_softmax": (lambda: nm.log_softmax(a), [a]),
         "slice_cols": (lambda: nm.slice_cols(a, 1, 3), [a]),
-        "embed_token": (lambda: nm.embed_token(a, 2), [a]),
+        "embed_prefix": (lambda: nm.embed_prefix(a, [2, 0, 2]), [a]),
     }
     build, params = builders[op_name]
     shape = build().data.shape
@@ -213,3 +262,14 @@ def test_adam_reduces_quadratic():
             tape.backward(y)
         opt.step()
     assert abs(p.data[0]) < 1e-2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_adam_rejects_non_finite_gradient_norm(bad):
+    p = Tensor([1.0, 2.0])
+    opt = Adam([p], lr=0.1)
+    p.grad = np.array([0.5, bad])
+    with pytest.raises(NumericsError):
+        opt.step()
+    assert p.data.tolist() == [1.0, 2.0]
+    assert opt.t == 0 and not opt.m[0].any() and not opt.v[0].any()
