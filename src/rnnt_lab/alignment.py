@@ -99,8 +99,3 @@ def collapse(labels) -> list[int]:
         if not out or out[-1] != label:
             out.append(label)
     return out
-
-
-def transcript_of(fa: FrameAlignment) -> list[int]:
-    """Collapse a frame alignment into its token transcript (spaces kept)."""
-    return collapse(fa.labels)

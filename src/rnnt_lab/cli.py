@@ -9,9 +9,10 @@ from pathlib import Path
 
 from . import pretrain as pt
 from .corpus import load_corpus, save_corpus
-from .decoding import DelayStats, beam_decode, measure_delay, read_nbest, write_delay_csv, write_nbest
+from .decoding import (DelayStats, Hypothesis, beam_decode, measure_delay, read_nbest,
+                       write_delay_csv, write_nbest)
 from .corpus import piece_word_map
-from .errors import LabError
+from .errors import ConfigError, LabError
 from .harness import (ExperimentConfig, arm_pretrain_epochs, gen_corpus,
                       run_experiment, train_transducer)
 from .model import TransducerModel, load_checkpoint, save_checkpoint
@@ -100,10 +101,11 @@ def _cmd_delay_stats(args) -> int:
             best_lines[line["utt_id"]] = line
     stats = DelayStats()
     for utt_id, line in best_lines.items():
-        utt = corpus[utt_id]
-        hyp = type("Hyp", (), {})()
-        hyp.prefix = line["hyp_tokens"]
-        hyp.emit_frames = line["emit_frames"]
+        utt = corpus.get(utt_id)
+        if utt is None:
+            raise ConfigError(f"{args.nbest}: utterance '{utt_id}' is not in corpus {args.corpus}")
+        hyp = Hypothesis(prefix=line["hyp_tokens"], log_prob=line["log_prob"],
+                         pred_state=None, emit_frames=line["emit_frames"])
         stats = stats.merge(measure_delay(hyp, utt.words, piece_word_map(utt),
                                           utt.transcript))
     write_delay_csv(args.out, stats)
@@ -177,7 +179,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LabError, FileNotFoundError, KeyError) as exc:
+    except (LabError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

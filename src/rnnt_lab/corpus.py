@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import WordSpan, build_frame_alignment, collapse
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass
@@ -23,9 +23,6 @@ class Utterance:
     features: np.ndarray  # raw (N, d) frames, before stacking
     words: list[WordSpan]
     transcript: list[int]
-
-    def num_raw_frames(self) -> int:
-        return self.features.shape[0]
 
     def encoder_frames(self, stride: int) -> int:
         return -(-self.features.shape[0] // stride)
@@ -69,8 +66,16 @@ def save_corpus(path, utterances: list[Utterance]) -> None:
 
 
 def load_corpus(path) -> list[Utterance]:
+    utterances = []
     with open(path) as fh:
-        return [utterance_from_json(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                utterances.append(utterance_from_json(line))
+            except (json.JSONDecodeError, KeyError) as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed utterance ({exc!r})") from exc
+    return utterances
 
 
 def corpus_hash(utterances: list[Utterance]) -> str:

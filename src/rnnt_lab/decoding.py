@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import WordSpan
-from .errors import ShapeError
-from .numerics import Tensor
+from .errors import ConfigError, ShapeError
+from .numerics import Tensor, log_softmax_array
 
 
 @dataclass
@@ -56,11 +56,6 @@ class DelayStats:
                           skipped=self.skipped + other.skipped)
 
 
-def _log_softmax_vec(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
 class _ModelDecoder:
     """Adapter giving TransducerModel the stepping interface decoders use."""
 
@@ -80,7 +75,7 @@ class _ModelDecoder:
         return self.model.prediction_step(state, token)
 
     def logprobs(self, t, handle):
-        return _log_softmax_vec(self.model.joint_row(self.enc[t], handle))
+        return log_softmax_array(self.model.joint_row(self.enc[t], handle))
 
 
 class TableModel:
@@ -268,9 +263,24 @@ def write_nbest(path, entries: list[tuple[str, list[Hypothesis]]]) -> None:
                 fh.write("\n")
 
 
+_NBEST_FIELDS = ("utt_id", "hyp_tokens", "log_prob", "emit_frames")
+
+
 def read_nbest(path) -> list[dict]:
+    lines = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, text in enumerate(fh, 1):
+            if not text.strip():
+                continue
+            try:
+                line = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed n-best line ({exc})") from exc
+            missing = [key for key in _NBEST_FIELDS if key not in line]
+            if missing:
+                raise ConfigError(f"{path}:{lineno}: n-best line lacks {', '.join(missing)}")
+            lines.append(line)
+    return lines
 
 
 def write_delay_csv(path, stats: DelayStats) -> None:

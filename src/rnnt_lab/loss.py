@@ -38,11 +38,6 @@ class LogLattice:
         return float(self.beta.data[0, 0])
 
 
-def _stable_log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def _as_array(logits) -> np.ndarray:
     return logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
 
@@ -75,33 +70,31 @@ def rnnt_lattice(logits, targets, blank: int) -> LogLattice:
     if u_rows != u_len + 1:
         raise ShapeError(f"rnnt: logits have {u_rows} label rows but targets need {u_len + 1}")
 
-    lp = _stable_log_softmax(z)
+    lp = nm.log_softmax_array(z)
+    # Along frames, label row u is a linear recurrence in log space:
+    #   alpha[t, u] = logaddexp(alpha[t-1, u] + blank[t-1, u], alpha[t, u-1] + label[t, u-1]).
+    # With d[u, t] the blank log-probs summed along row u before frame t,
+    # a[u] = alpha[:, u] - d[u] is the cumulative logaddexp of a[u-1] + step[u-1],
+    # and b[u] = beta[:, u] + d[u] is the same scan run backwards in time.
+    # Each direction is U vector scans instead of T*U scalar cell updates.
+    blank_lp = lp[:, :, blank].T
+    label_lp = lp[:, np.arange(u_len), np.asarray(targets, dtype=np.int64)].T
+    d = np.zeros((u_len + 1, t_len + 1))
+    np.cumsum(blank_lp, axis=1, out=d[:, 1:])
+    step = label_lp + d[:-1, :-1] - d[1:, :-1]
 
-    alpha = np.full((t_len, u_len + 1), NEG_INF)
-    alpha[0, 0] = 0.0
-    for t in range(1, t_len):
-        alpha[t, 0] = alpha[t - 1, 0] + lp[t - 1, 0, blank]
+    a = np.zeros((u_len + 1, t_len))
     for u in range(1, u_len + 1):
-        alpha[0, u] = alpha[0, u - 1] + lp[0, u - 1, targets[u - 1]]
-    for t in range(1, t_len):
-        for u in range(1, u_len + 1):
-            alpha[t, u] = np.logaddexp(
-                alpha[t - 1, u] + lp[t - 1, u, blank],
-                alpha[t, u - 1] + lp[t, u - 1, targets[u - 1]],
-            )
-
-    beta = np.full((t_len, u_len + 1), NEG_INF)
-    beta[t_len - 1, u_len] = lp[t_len - 1, u_len, blank]
-    for t in range(t_len - 2, -1, -1):
-        beta[t, u_len] = lp[t, u_len, blank] + beta[t + 1, u_len]
+        np.logaddexp.accumulate(a[u - 1] + step[u - 1], out=a[u])
+    # b is stored with time reversed; on the last row beta is the blanks
+    # still to come, so b[U] is that row's blank total at every frame
+    b = np.empty((u_len + 1, t_len))
+    b[u_len] = d[u_len, t_len]
+    step_rev = step[:, ::-1]
     for u in range(u_len - 1, -1, -1):
-        beta[t_len - 1, u] = lp[t_len - 1, u, targets[u]] + beta[t_len - 1, u + 1]
-    for t in range(t_len - 2, -1, -1):
-        for u in range(u_len - 1, -1, -1):
-            beta[t, u] = np.logaddexp(
-                lp[t, u, blank] + beta[t + 1, u],
-                lp[t, u, targets[u]] + beta[t, u + 1],
-            )
+        np.logaddexp.accumulate(b[u + 1] + step_rev[u], out=b[u])
+    alpha = (a + d[:, :-1]).T
+    beta = (b[:, ::-1] - d[:, :-1]).T
 
     return LogLattice(alpha=Tensor(alpha), beta=Tensor(beta), log_probs=Tensor(lp))
 
@@ -158,7 +151,7 @@ def rnnt_brute_force(logits, targets, blank: int, max_steps: int = 14) -> float:
     if t_len + u_len > max_steps:
         raise ShapeError(f"rnnt_brute_force: T+U = {t_len + u_len} exceeds bound {max_steps}")
 
-    lp = _stable_log_softmax(z)
+    lp = nm.log_softmax_array(z)
     path_logps = []
     # choose which of the first T+U-1 steps are label emissions; the last step is blank
     for label_steps in itertools.combinations(range(t_len + u_len - 1), u_len):
@@ -197,54 +190,49 @@ def ctc_loss(logits, targets, blank: int) -> LossOutput:
     if t_len < need:
         raise ShapeError(f"ctc: {t_len} frames but targets require at least {need}")
 
-    ext = [blank]
-    for y in targets:
-        ext += [y, blank]
-    s_len = len(ext)
-    lp = _stable_log_softmax(z)
+    s_len = 2 * len(targets) + 1
+    ext = np.full(s_len, blank, dtype=np.int64)
+    ext[1::2] = targets
+    lp = nm.log_softmax_array(z)
+    emit = lp[:, ext]
+    # a label state may be entered straight from the label two states back
+    # (skipping the blank between) unless both are the same label; skip_in[s]
+    # is 0 where that arc into s exists and -inf where it does not
+    skip_in = np.full(s_len, NEG_INF)
+    skip_in[2:][(ext[2:] != blank) & (ext[2:] != ext[:-2])] = 0.0
+    skip_out = np.full(s_len, NEG_INF)
+    skip_out[:-2] = skip_in[2:]
 
-    def can_skip(s: int) -> bool:
-        return s >= 2 and ext[s] != blank and ext[s] != ext[s - 2]
-
-    alpha = np.full((t_len, s_len), NEG_INF)
-    alpha[0, 0] = lp[0, ext[0]]
-    if s_len > 1:
-        alpha[0, 1] = lp[0, ext[1]]
+    # one vector update per frame over all expanded states: stay, advance by
+    # 1, advance by 2. Two -inf pad columns (leading for alpha, trailing for
+    # beta) stand for the states off the ends, so every shift is a slice.
+    alpha_pad = np.full((t_len, s_len + 2), NEG_INF)
+    alpha = alpha_pad[:, 2:]
+    alpha[0, :2] = emit[0, :2]
     for t in range(1, t_len):
-        for s in range(s_len):
-            acc = alpha[t - 1, s]
-            if s >= 1:
-                acc = np.logaddexp(acc, alpha[t - 1, s - 1])
-            if can_skip(s):
-                acc = np.logaddexp(acc, alpha[t - 1, s - 2])
-            alpha[t, s] = acc + lp[t, ext[s]]
+        prev = alpha_pad[t - 1]
+        np.logaddexp(prev[2:], prev[1:-1], out=alpha[t])
+        np.logaddexp(alpha[t], prev[:-2] + skip_in, out=alpha[t])
+        alpha[t] += emit[t]
 
-    beta = np.full((t_len, s_len), NEG_INF)
-    beta[t_len - 1, s_len - 1] = lp[t_len - 1, ext[s_len - 1]]
-    if s_len > 1:
-        beta[t_len - 1, s_len - 2] = lp[t_len - 1, ext[s_len - 2]]
+    beta_pad = np.full((t_len, s_len + 2), NEG_INF)
+    beta = beta_pad[:, :-2]
+    beta[t_len - 1, -2:] = emit[t_len - 1, -2:]
     for t in range(t_len - 2, -1, -1):
-        for s in range(s_len - 1, -1, -1):
-            acc = beta[t + 1, s]
-            if s + 1 < s_len:
-                acc = np.logaddexp(acc, beta[t + 1, s + 1])
-            if s + 2 < s_len and can_skip(s + 2):
-                acc = np.logaddexp(acc, beta[t + 1, s + 2])
-            beta[t, s] = acc + lp[t, ext[s]]
+        nxt = beta_pad[t + 1]
+        np.logaddexp(nxt[:-2], nxt[1:-1], out=beta[t])
+        np.logaddexp(beta[t], nxt[2:] + skip_out, out=beta[t])
+        beta[t] += emit[t]
 
-    loglik = alpha[t_len - 1, s_len - 1]
-    if s_len > 1:
-        loglik = np.logaddexp(loglik, alpha[t_len - 1, s_len - 2])
-    loglik = float(loglik)
+    loglik = float(np.logaddexp.reduce(alpha[t_len - 1, -2:]))
     if not math.isfinite(loglik):
         raise NumericsError(f"ctc: non-finite log-likelihood {loglik}")
 
     # occupancy of expanded state s at frame t; alpha and beta both carry the
     # emission at (t, s), so divide it out once
-    gamma = np.exp(alpha + beta - lp[:, ext] - loglik)
+    gamma = np.exp(alpha + beta - emit - loglik)
     grad_lp = np.zeros_like(lp)
-    for s, k in enumerate(ext):
-        grad_lp[:, k] -= gamma[:, s]
+    np.subtract.at(grad_lp, (slice(None), ext), gamma)
     grad_z = grad_lp - np.exp(lp) * grad_lp.sum(axis=-1, keepdims=True)
 
     value = -loglik
@@ -263,7 +251,7 @@ def ctc_brute_force(logits, targets, blank: int, max_paths: int = 200_000) -> fl
     targets = [int(y) for y in targets]
     if num_classes**t_len > max_paths:
         raise ShapeError(f"ctc_brute_force: {num_classes}^{t_len} paths exceed bound {max_paths}")
-    lp = _stable_log_softmax(z)
+    lp = nm.log_softmax_array(z)
     path_logps = []
     for path in itertools.product(range(num_classes), repeat=t_len):
         collapsed = [k for i, k in enumerate(path) if (i == 0 or k != path[i - 1])]
@@ -291,7 +279,7 @@ def frame_ce_loss(enc_out: Tensor, fc, frame_targets) -> LossOutput:
     for k in frame_targets:
         if not (0 <= k < num_classes):
             raise ShapeError(f"frame_ce: target {k} outside {num_classes} classes")
-    lp = _stable_log_softmax(logits.data)
+    lp = nm.log_softmax_array(logits.data)
     idx = np.arange(t_len)
     tgt = np.array(frame_targets)
     value = float(-lp[idx, tgt].mean())
@@ -314,7 +302,7 @@ def masked_ce_3d(logits: Tensor, label) -> LossOutput:
     n_masked = int(mask.sum())
     if n_masked == 0:
         raise ShapeError("masked_ce: empty mask")
-    lp = _stable_log_softmax(logits.data)
+    lp = nm.log_softmax_array(logits.data)
     cell_ce = -(targets * lp).sum(axis=-1)
     value = float(cell_ce[mask].sum() / n_masked)
     grad = (np.exp(lp) - targets) * mask[:, :, None] / n_masked
@@ -337,7 +325,7 @@ def lm_ce_loss(pred_out: Tensor, fc, targets) -> LossOutput:
     for y in targets:
         if not (0 <= y < num_classes):
             raise ShapeError(f"lm_ce: target {y} outside {num_classes} classes")
-    lp = _stable_log_softmax(logits.data)
+    lp = nm.log_softmax_array(logits.data)
     idx = np.arange(u_len)
     tgt = np.array(targets)
     value = float(-lp[idx, tgt].mean())

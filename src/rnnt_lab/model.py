@@ -307,10 +307,13 @@ def load_checkpoint(path) -> TransducerModel:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    model = TransducerModel(ModelConfig.from_dict(payload["config"]))
-    state = {
-        name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-        for name, rec in payload["tensors"].items()
-    }
-    model.load_state(state)
+    try:
+        model = TransducerModel(ModelConfig.from_dict(payload["config"]))
+        state = {
+            name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
+            for name, rec in payload["tensors"].items()
+        }
+        model.load_state(state)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: checkpoint lacks {exc}") from exc
     return model

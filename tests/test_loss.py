@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rnnt_lab import (Adam, Affine, LabelTensor, ShapeError,
                       Tape, Tensor, TransducerModel, ctc_brute_force, ctc_loss,
@@ -12,6 +15,89 @@ from conftest import random_logits
 
 def nparams(model):
     return model.parameters()
+
+
+# ---------------------------------------------------------------------------
+# scalar reference DPs: the cell-by-cell recursions the array-shaped DPs in
+# rnnt_lab.loss replace, kept here as independent plain-numpy oracles
+# ---------------------------------------------------------------------------
+
+
+def reference_log_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def reference_rnnt_alpha_beta(logits, targets, blank):
+    lp = reference_log_softmax(np.asarray(logits, dtype=np.float64))
+    t_len, u_len = lp.shape[0], len(targets)
+    alpha = np.full((t_len, u_len + 1), -np.inf)
+    alpha[0, 0] = 0.0
+    for t in range(1, t_len):
+        alpha[t, 0] = alpha[t - 1, 0] + lp[t - 1, 0, blank]
+    for u in range(1, u_len + 1):
+        alpha[0, u] = alpha[0, u - 1] + lp[0, u - 1, targets[u - 1]]
+    for t in range(1, t_len):
+        for u in range(1, u_len + 1):
+            alpha[t, u] = np.logaddexp(alpha[t - 1, u] + lp[t - 1, u, blank],
+                                       alpha[t, u - 1] + lp[t, u - 1, targets[u - 1]])
+    beta = np.full((t_len, u_len + 1), -np.inf)
+    beta[t_len - 1, u_len] = lp[t_len - 1, u_len, blank]
+    for t in range(t_len - 2, -1, -1):
+        beta[t, u_len] = lp[t, u_len, blank] + beta[t + 1, u_len]
+    for u in range(u_len - 1, -1, -1):
+        beta[t_len - 1, u] = lp[t_len - 1, u, targets[u]] + beta[t_len - 1, u + 1]
+    for t in range(t_len - 2, -1, -1):
+        for u in range(u_len - 1, -1, -1):
+            beta[t, u] = np.logaddexp(lp[t, u, blank] + beta[t + 1, u],
+                                      lp[t, u, targets[u]] + beta[t, u + 1])
+    return alpha, beta
+
+
+def reference_ctc(logits, targets, blank):
+    """(log-likelihood, gradient of the loss w.r.t. the logits)."""
+    lp = reference_log_softmax(np.asarray(logits, dtype=np.float64))
+    t_len = lp.shape[0]
+    ext = [blank]
+    for y in targets:
+        ext += [y, blank]
+    s_len = len(ext)
+
+    def can_skip(s):
+        return s >= 2 and ext[s] != blank and ext[s] != ext[s - 2]
+
+    alpha = np.full((t_len, s_len), -np.inf)
+    alpha[0, 0] = lp[0, ext[0]]
+    if s_len > 1:
+        alpha[0, 1] = lp[0, ext[1]]
+    for t in range(1, t_len):
+        for s in range(s_len):
+            acc = alpha[t - 1, s]
+            if s >= 1:
+                acc = np.logaddexp(acc, alpha[t - 1, s - 1])
+            if can_skip(s):
+                acc = np.logaddexp(acc, alpha[t - 1, s - 2])
+            alpha[t, s] = acc + lp[t, ext[s]]
+    beta = np.full((t_len, s_len), -np.inf)
+    beta[t_len - 1, s_len - 1] = lp[t_len - 1, ext[s_len - 1]]
+    if s_len > 1:
+        beta[t_len - 1, s_len - 2] = lp[t_len - 1, ext[s_len - 2]]
+    for t in range(t_len - 2, -1, -1):
+        for s in range(s_len - 1, -1, -1):
+            acc = beta[t + 1, s]
+            if s + 1 < s_len:
+                acc = np.logaddexp(acc, beta[t + 1, s + 1])
+            if s + 2 < s_len and can_skip(s + 2):
+                acc = np.logaddexp(acc, beta[t + 1, s + 2])
+            beta[t, s] = acc + lp[t, ext[s]]
+    loglik = alpha[t_len - 1, s_len - 1]
+    if s_len > 1:
+        loglik = np.logaddexp(loglik, alpha[t_len - 1, s_len - 2])
+    gamma = np.exp(alpha + beta - lp[:, ext] - loglik)
+    grad_lp = np.zeros_like(lp)
+    for s, k in enumerate(ext):
+        grad_lp[:, k] -= gamma[:, s]
+    return float(loglik), grad_lp - np.exp(lp) * grad_lp.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +221,43 @@ def test_occupancy_mass_equals_emission_count():
         assert total == pytest.approx(t_len + u_len, abs=1e-8)
 
 
+@pytest.mark.parametrize("scale", [1.0, 10.0, 30.0, 100.0])
+def test_rnnt_row_scan_matches_scalar_oracle_long_lattice(scale):
+    # the row scan subtracts and re-adds the blank log-probs summed down a
+    # row (up to ~1e4 here), so this guards it against cancellation
+    rng = np.random.default_rng(int(scale))
+    t_len, u_len, k = 150, 60, 9
+    targets = [int(v) for v in rng.integers(0, k, size=u_len)]
+    logits = random_logits(rng, t_len, u_len, k + 1, scale=scale)
+    lat = rnnt_lattice(logits, targets, blank=k)
+    alpha, beta = reference_rnnt_alpha_beta(logits, targets, k)
+    assert np.abs(lat.alpha.data - alpha).max() <= 1e-9
+    assert np.abs(lat.beta.data - beta).max() <= 1e-9
+
+
+@pytest.mark.parametrize("t_len,u_len", [(1, 0), (1, 4), (6, 0), (3, 10), (2, 2)])
+def test_rnnt_row_scan_matches_scalar_oracle_edge_shapes(t_len, u_len):
+    rng = np.random.default_rng(100 * t_len + u_len)
+    k = 3
+    targets = [int(v) for v in rng.integers(0, k, size=u_len)]
+    logits = random_logits(rng, t_len, u_len, k + 1, scale=3.0)
+    lat = rnnt_lattice(logits, targets, blank=k)
+    alpha, beta = reference_rnnt_alpha_beta(logits, targets, k)
+    assert np.abs(lat.alpha.data - alpha).max() <= 1e-9
+    assert np.abs(lat.beta.data - beta).max() <= 1e-9
+    assert rnnt_loss(logits, targets, blank=k).value == pytest.approx(-beta[0, 0], abs=1e-9)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), t_len=st.integers(1, 6), u_len=st.integers(0, 4), k=st.integers(1, 3))
+def test_rnnt_loss_matches_brute_force_property(data, t_len, u_len, k):
+    targets = data.draw(st.lists(st.integers(0, k - 1), min_size=u_len, max_size=u_len))
+    logits = data.draw(arrays(np.float64, (t_len, u_len + 1, k + 1),
+                              elements=st.floats(-20.0, 20.0)))
+    assert rnnt_loss(logits, targets, blank=k).value == pytest.approx(
+        rnnt_brute_force(logits, targets, blank=k), abs=1e-10)
+
+
 def test_rnnt_loss_overfits_single_utterance(tiny_config):
     model = TransducerModel(tiny_config, seed=2)
     rng = np.random.default_rng(40)
@@ -189,6 +312,39 @@ def test_ctc_matches_brute_force_many_instances():
             ctc_brute_force(logits, targets, blank=k), abs=1e-10)
         checked += 1
     assert checked > 30
+
+
+@pytest.mark.parametrize("t_len,targets,scale", [
+    (60, [0, 3, 1, 4, 2, 0, 5, 1, 3, 2, 4, 0, 1, 5, 2, 3, 0, 4, 1, 2], 1.0),
+    (60, [0, 3, 1, 4, 2, 0, 5, 1, 3, 2, 4, 0, 1, 5, 2, 3, 0, 4, 1, 2], 30.0),
+    (8, [], 1.0),                       # empty targets: the all-blank path only
+    (1, [], 1.0),
+    (9, [2, 2, 2, 1, 1], 3.0),          # repeats need separating blanks...
+    (8, [2, 2, 2, 1, 1], 3.0),          # ...exactly U + repeats frames
+    (1, [4], 1.0),
+])
+def test_ctc_vector_dp_matches_scalar_oracle(t_len, targets, scale):
+    k = 6
+    rng = np.random.default_rng(t_len + len(targets))
+    logits = scale * rng.normal(size=(t_len, k + 1))
+    out = ctc_loss(logits, targets, blank=k)
+    loglik, grad = reference_ctc(logits, targets, k)
+    assert out.value == pytest.approx(-loglik, abs=1e-9)
+    assert np.abs(out.grad_logits.data - grad).max() <= 1e-9
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), t_len=st.integers(1, 5), k=st.integers(1, 3), u_len=st.integers(0, 3))
+def test_ctc_loss_matches_brute_force_property(data, t_len, k, u_len):
+    targets = data.draw(st.lists(st.integers(0, k - 1), min_size=u_len, max_size=u_len))
+    repeats = sum(1 for a, b in zip(targets, targets[1:]) if a == b)
+    if t_len < u_len + repeats:
+        with pytest.raises(ShapeError):
+            ctc_loss(np.zeros((t_len, k + 1)), targets, blank=k)
+        return
+    logits = data.draw(arrays(np.float64, (t_len, k + 1), elements=st.floats(-20.0, 20.0)))
+    assert ctc_loss(logits, targets, blank=k).value == pytest.approx(
+        ctc_brute_force(logits, targets, blank=k), abs=1e-10)
 
 
 def test_ctc_rejects_short_input_with_required_minimum():
