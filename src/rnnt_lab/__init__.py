@@ -10,8 +10,8 @@ analysis, and a synthetic-corpus experiment harness.
 from .alignment import (FrameAlignment, WordSpan, allocate_frames,
                         build_frame_alignment, collapse, short_pause_spans)
 from .corpus import Utterance, load_corpus, piece_word_map, save_corpus
-from .decoding import (DelayStats, Hypothesis, TableModel, beam_decode,
-                       greedy_decode, measure_delay)
+from .decoding import (DelayStats, Hypothesis, ModelDecoder, TableModel,
+                       beam_decode, greedy_decode, measure_delay)
 from .errors import (ConfigError, DegenerateUtterance, LabError,
                      NumericsError, ShapeError)
 from .harness import (ExperimentConfig, MetricsRow, edit_distance, gen_corpus,

@@ -105,7 +105,7 @@ def _cmd_delay_stats(args) -> int:
         if utt is None:
             raise ConfigError(f"{args.nbest}: utterance '{utt_id}' is not in corpus {args.corpus}")
         hyp = Hypothesis(prefix=line["hyp_tokens"], log_prob=line["log_prob"],
-                         pred_state=None, emit_frames=line["emit_frames"])
+                         emit_frames=line["emit_frames"])
         stats = stats.merge(measure_delay(hyp, utt.words, piece_word_map(utt),
                                           utt.transcript))
     write_delay_csv(args.out, stats)

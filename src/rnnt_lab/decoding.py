@@ -6,6 +6,13 @@ prediction network, blank advances to the next frame; decoding ends once the
 last frame is consumed. A per-frame symbol cap guards against livelock on
 adversarial models (a forced advance consumes the blank's probability).
 
+Searches talk to a *decoder*: ``num_frames``, ``blank`` and
+``logprobs(t, prefixes)``, which scores n label prefixes (tuples of token
+ids) at frame t as an (n, K+1) log-probability matrix. The label state is the
+prefix itself, so hypotheses carry no model state. ``ModelDecoder`` binds a
+``TransducerModel`` to one utterance; ``TableModel`` is a decoder over a
+fixed table.
+
 Beam search keeps ``beam_width`` hypotheses per frame, merging identical
 prefixes by log-add. The trajectory greedy decoding would take is always kept
 alive alongside the beam ("greedy protection"), so the returned best score
@@ -22,14 +29,13 @@ import numpy as np
 
 from .alignment import WordSpan
 from .errors import ConfigError, ShapeError
-from .numerics import Tensor, log_softmax_array
+from .numerics import log_softmax_array
 
 
 @dataclass
 class Hypothesis:
     prefix: list[int]
     log_prob: float
-    pred_state: object
     emit_frames: list[int]
 
 
@@ -56,98 +62,100 @@ class DelayStats:
                           skipped=self.skipped + other.skipped)
 
 
-class _ModelDecoder:
-    """Adapter giving TransducerModel the stepping interface decoders use."""
+class ModelDecoder:
+    """A TransducerModel bound to one utterance, scored by label prefix.
+
+    The encoder runs once. A prefix's prediction state depends only on the
+    prefix, so each is computed once and cached for the utterance, however
+    many hypotheses or searches reach it: the prefixes new to a ``logprobs``
+    call are advanced together in one batched ``prediction_step`` from their
+    parents' states, and all requested prefixes are scored with one
+    ``joint_row`` call on their stacked output rows.
+    """
 
     def __init__(self, model, features):
         if features is None:
             raise ShapeError("decoding a model needs encoder input features")
-        data = features.data if isinstance(features, Tensor) else np.asarray(features, float)
         self.model = model
-        self.enc = model.encode_frames(data)
+        self.enc = model.encode_frames(features)
         self.num_frames = self.enc.shape[0]
         self.blank = model.config.blank_id
+        # prefix -> (output row (H,), per-layer (h, c) as (1, H) rows)
+        self._states = {(): model.prediction_start()}
 
-    def start(self):
-        return self.model.prediction_start()
+    def logprobs(self, t: int, prefixes: list[tuple]) -> np.ndarray:
+        new = [p for p in dict.fromkeys(prefixes) if p not in self._states]
+        if new:
+            self._advance(new)
+        rows = np.stack([self._states[p][0] for p in prefixes])
+        return log_softmax_array(self.model.joint_row(self.enc[t], rows))
 
-    def step(self, state, token):
-        return self.model.prediction_step(state, token)
-
-    def logprobs(self, t, handle):
-        return log_softmax_array(self.model.joint_row(self.enc[t], handle))
+    def _advance(self, prefixes: list[tuple]) -> None:
+        parents = [p[:-1] for p in prefixes]
+        missing = [p for p in dict.fromkeys(parents) if p not in self._states]
+        if missing:
+            self._advance(missing)
+        states = [self._states[p][1] for p in parents]
+        batch = [(np.concatenate([s[layer][0] for s in states]),
+                  np.concatenate([s[layer][1] for s in states]))
+                 for layer in range(len(states[0]))]
+        rows, batch = self.model.prediction_step(batch, [p[-1] for p in prefixes])
+        for i, p in enumerate(prefixes):
+            self._states[p] = (rows[i], [(h[i : i + 1], c[i : i + 1]) for h, c in batch])
 
 
 class TableModel:
-    """Decode a precomputed (T, R, K+1) log-probability table; the label
-    state is simply the row index. Lets label tensors act as oracle models."""
+    """A decoder over a precomputed (T, R, K+1) log-probability table: a
+    prefix of length u reads row min(u, R-1). Lets label tensors act as
+    oracle models."""
 
     def __init__(self, log_probs: np.ndarray, blank: int | None = None):
         self.table = np.asarray(log_probs, dtype=np.float64)
         if self.table.ndim != 3:
             raise ShapeError(f"TableModel: need (T, R, K+1), got shape {self.table.shape}")
+        self.num_frames = self.table.shape[0]
         self.blank = self.table.shape[-1] - 1 if blank is None else blank
 
-    def as_decoder(self, features=None):
-        return _TableDecoder(self)
+    def logprobs(self, t: int, prefixes: list[tuple]) -> np.ndarray:
+        last = self.table.shape[1] - 1
+        return self.table[t, [min(len(p), last) for p in prefixes]]
 
 
-class _TableDecoder:
-    def __init__(self, tm: TableModel):
-        self.table = tm.table
-        self.num_frames = tm.table.shape[0]
-        self.max_row = tm.table.shape[1] - 1
-        self.blank = tm.blank
-
-    def start(self):
-        return 0, 0
-
-    def step(self, state, token):
-        row = min(state + 1, self.max_row)
-        return row, row
-
-    def logprobs(self, t, handle):
-        return self.table[t, handle]
-
-
-def _make_decoder(model, features):
-    if hasattr(model, "as_decoder"):
-        return model.as_decoder(features)
-    return _ModelDecoder(model, features)
+def _as_decoder(model, features):
+    """A decoder as given, or a TransducerModel bound to ``features``."""
+    return model if hasattr(model, "logprobs") else ModelDecoder(model, features)
 
 
 def greedy_decode(model, features=None, max_symbols_per_frame: int = 4) -> Hypothesis:
-    """Single-hypothesis frame-synchronous decode; argmax ties break low."""
+    """Single-hypothesis frame-synchronous decode; argmax ties break low.
+
+    ``model`` is a decoder, or a TransducerModel together with ``features``.
+    """
     if max_symbols_per_frame < 1:
         raise ShapeError("greedy_decode: max_symbols_per_frame must be >= 1")
-    dec = _make_decoder(model, features)
-    handle, state = dec.start()
-    prefix: list[int] = []
+    dec = _as_decoder(model, features)
+    prefix: tuple = ()
     emit_frames: list[int] = []
     log_prob = 0.0
     for t in range(dec.num_frames):
         emitted = 0
         while True:
-            lp = dec.logprobs(t, handle)
+            lp = dec.logprobs(t, [prefix])[0]
             k = int(np.argmax(lp))
             if k == dec.blank or emitted >= max_symbols_per_frame:
                 log_prob += float(lp[dec.blank])
                 break
-            prefix.append(k)
+            prefix += (k,)
             emit_frames.append(t)
             log_prob += float(lp[k])
-            handle, state = dec.step(state, k)
             emitted += 1
-    return Hypothesis(prefix=prefix, log_prob=log_prob,
-                      pred_state=(handle, state), emit_frames=emit_frames)
+    return Hypothesis(prefix=list(prefix), log_prob=log_prob, emit_frames=emit_frames)
 
 
 @dataclass
 class _BeamHyp:
     prefix: tuple
     log_prob: float
-    handle: object
-    state: object
     emit_frames: tuple
     on_greedy_path: bool
 
@@ -158,70 +166,62 @@ def _merge_into(bucket: dict, hyp: _BeamHyp) -> None:
         bucket[hyp.prefix] = hyp
     else:
         keep = prev if prev.log_prob >= hyp.log_prob else hyp
-        merged = _BeamHyp(hyp.prefix, float(np.logaddexp(prev.log_prob, hyp.log_prob)),
-                          keep.handle, keep.state, keep.emit_frames,
-                          prev.on_greedy_path or hyp.on_greedy_path)
-        bucket[hyp.prefix] = merged
+        bucket[hyp.prefix] = _BeamHyp(hyp.prefix, float(np.logaddexp(prev.log_prob, hyp.log_prob)),
+                                      keep.emit_frames, prev.on_greedy_path or hyp.on_greedy_path)
 
 
 def beam_decode(model, features=None, beam_width: int = 5,
                 max_symbols_per_frame: int = 4) -> tuple[Hypothesis, list[Hypothesis]]:
     """Frame-synchronous beam search with prefix merging; returns the best
-    hypothesis and the n-best list (one entry per surviving prefix)."""
+    hypothesis and the n-best list (one entry per surviving prefix).
+
+    ``model`` is a decoder, or a TransducerModel together with ``features``.
+    Each expansion step scores the whole pool with one ``logprobs`` call and
+    ranks all (hypothesis, class) candidates with one sort.
+    """
     if beam_width < 1:
         raise ShapeError("beam_decode: beam_width must be >= 1")
-    dec = _make_decoder(model, features)
-    handle, state = dec.start()
-    beam: dict[tuple, _BeamHyp] = {
-        (): _BeamHyp((), 0.0, handle, state, (), on_greedy_path=True)
-    }
+    dec = _as_decoder(model, features)
+    beam = [_BeamHyp((), 0.0, (), on_greedy_path=True)]
 
     for t in range(dec.num_frames):
-        pool = list(beam.values())
+        pool = beam
         next_beam: dict[tuple, _BeamHyp] = {}
         for step in range(max_symbols_per_frame + 1):
             if not pool:
                 break
-            scored = [(hyp, dec.logprobs(t, hyp.handle)) for hyp in pool]
+            lp = dec.logprobs(t, [hyp.prefix for hyp in pool])
             if step == max_symbols_per_frame:
                 # symbol cap: every surviving hypothesis advances on blank
-                for hyp, lp in scored:
-                    _merge_into(next_beam, _BeamHyp(
-                        hyp.prefix, hyp.log_prob + float(lp[dec.blank]),
-                        hyp.handle, hyp.state, hyp.emit_frames, hyp.on_greedy_path))
+                for hyp, blank_lp in zip(pool, lp[:, dec.blank].tolist()):
+                    _merge_into(next_beam, _BeamHyp(hyp.prefix, hyp.log_prob + blank_lp,
+                                                    hyp.emit_frames, hyp.on_greedy_path))
                 break
-            candidates = []
-            for order, (hyp, lp) in enumerate(scored):
-                greedy_k = int(np.argmax(lp))
-                for k in range(lp.shape[0]):
-                    is_greedy = hyp.on_greedy_path and k == greedy_k
-                    candidates.append((hyp.log_prob + float(lp[k]), k, order, hyp, is_greedy))
-            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-            selected = candidates[:beam_width]
-            # never prune the trajectory greedy decoding would take
-            for cand in candidates[beam_width:]:
-                if cand[4]:
-                    selected.append(cand)
-            pool = []
-            for score, k, _, hyp, is_greedy in selected:
+            n = len(pool)
+            # candidate j = k * n + i extends hypothesis i by class k; a stable
+            # sort of the flattened transposed scores ranks by (-score, k, i)
+            scores = (np.array([hyp.log_prob for hyp in pool])[:, None] + lp).T.ravel()
+            ranked = np.argsort(-scores, kind="stable")
+            greedy = np.zeros(scores.size, dtype=bool)
+            for i, hyp in enumerate(pool):
+                if hyp.on_greedy_path:
+                    greedy[int(np.argmax(lp[i])) * n + i] = True
+            # the beam_width best, and never prune the trajectory greedy would take
+            selected = ranked[(np.arange(ranked.size) < beam_width) | greedy[ranked]]
+            parents, pool = pool, []
+            for j in selected.tolist():
+                k, i = divmod(j, n)
+                hyp, score, is_greedy = parents[i], float(scores[j]), bool(greedy[j])
                 if k == dec.blank:
-                    _merge_into(next_beam, _BeamHyp(
-                        hyp.prefix, score, hyp.handle, hyp.state,
-                        hyp.emit_frames, is_greedy))
+                    _merge_into(next_beam, _BeamHyp(hyp.prefix, score, hyp.emit_frames, is_greedy))
                 else:
-                    handle, state = dec.step(hyp.state, k)
-                    pool.append(_BeamHyp(hyp.prefix + (k,), score, handle, state,
-                                         hyp.emit_frames + (t,), is_greedy))
+                    pool.append(_BeamHyp(hyp.prefix + (k,), score, hyp.emit_frames + (t,),
+                                         is_greedy))
         survivors = sorted(next_beam.values(), key=lambda h: (-h.log_prob, h.prefix))
-        beam = {}
-        for i, hyp in enumerate(survivors):
-            if i < beam_width or hyp.on_greedy_path:
-                beam[hyp.prefix] = hyp
+        beam = [hyp for i, hyp in enumerate(survivors) if i < beam_width or hyp.on_greedy_path]
 
-    ranked = sorted(beam.values(), key=lambda h: (-h.log_prob, h.prefix))
     nbest = [Hypothesis(prefix=list(h.prefix), log_prob=h.log_prob,
-                        pred_state=(h.handle, h.state), emit_frames=list(h.emit_frames))
-             for h in ranked]
+                        emit_frames=list(h.emit_frames)) for h in beam]
     return nbest[0], nbest
 
 

@@ -24,11 +24,11 @@ import numpy as np
 from . import pretrain as pt
 from .alignment import WordSpan, allocate_frames, collapse
 from .corpus import Utterance, corpus_hash, piece_word_map, save_corpus
-from .decoding import (DelayStats, beam_decode, greedy_decode, measure_delay,
+from .decoding import (DelayStats, ModelDecoder, beam_decode, greedy_decode, measure_delay,
                        write_delay_csv, write_nbest)
 from .errors import ConfigError, LabError
 from .loss import rnnt_loss
-from .model import ModelConfig, TransducerModel, stack_frames
+from .model import ModelConfig, TransducerModel, reject_unknown_keys, stack_frames
 
 
 @dataclass
@@ -90,6 +90,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        reject_unknown_keys(cls, d)
         d = dict(d)
         model = ModelConfig.from_dict(d.pop("model", {}))
         for key in ("words_per_utt", "pieces_per_word", "piece_frames",
@@ -101,7 +102,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            d = json.load(fh)
+        try:
+            return cls.from_dict(d)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -215,7 +220,11 @@ def train_transducer(model: TransducerModel, corpus: list[Utterance],
 
 def evaluate_model(model: TransducerModel, corpus: list[Utterance],
                    cfg: ExperimentConfig):
-    """Beam-decode for token error, greedy-decode for emission delay."""
+    """Beam-decode for token error, greedy-decode for emission delay.
+
+    Both searches share one decoder per utterance: the encoder runs once, and
+    greedy reuses the prediction states the beam cached (the beam always
+    keeps greedy's path)."""
     mc = model.config
     total_edits = 0
     total_ref = 0
@@ -223,12 +232,12 @@ def evaluate_model(model: TransducerModel, corpus: list[Utterance],
     nbest_entries = []
     for utt in corpus:
         stacked = stack_frames(utt.features, mc.stack_factor, mc.stack_stride)
-        best, nbest = beam_decode(model, stacked, beam_width=cfg.beam_width,
+        dec = ModelDecoder(model, stacked)
+        best, nbest = beam_decode(dec, beam_width=cfg.beam_width,
                                   max_symbols_per_frame=cfg.max_symbols_per_frame)
         total_edits += edit_distance(best.prefix, utt.transcript)
         total_ref += len(utt.transcript)
-        greedy = greedy_decode(model, stacked,
-                               max_symbols_per_frame=cfg.max_symbols_per_frame)
+        greedy = greedy_decode(dec, max_symbols_per_frame=cfg.max_symbols_per_frame)
         delay = delay.merge(measure_delay(greedy, utt.words, piece_word_map(utt),
                                           utt.transcript))
         nbest_entries.append((utt.utt_id, nbest))

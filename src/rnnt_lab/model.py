@@ -1,17 +1,18 @@
 """The three transducer components: LSTM encoder, LSTM prediction network,
 and the two-linear-layer joint network, plus frame stacking and checkpoints.
 
-State convention: recurrent states are (1, H) row vectors, weights are stored
-(in_dim, out_dim) so a step is ``row @ W``. Gate order inside the packed 4H
-pre-activation is input, forget, cell, output. Input features are data, not
-parameters: they enter the tape as leaves and receive no gradient.
+State convention: recurrent states are (n, H) batches of row vectors (n = 1
+for a single hypothesis), weights are stored (in_dim, out_dim) so a step is
+``rows @ W``. Gate order inside the packed 4H pre-activation is input,
+forget, cell, output. Input features are data, not parameters: they enter the
+tape as leaves and receive no gradient.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -58,7 +59,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        reject_unknown_keys(cls, d)
         return cls(**d)
+
+
+def reject_unknown_keys(cls, d: dict) -> None:
+    """ConfigError naming every key of ``d`` that is not a field of dataclass ``cls``."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{cls.__name__}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def stack_frames(features, stack: int, stride: int) -> Tensor:
@@ -119,7 +128,7 @@ class LstmStack:
 
     Training and decoding share one cell (``numerics.lstm_cell``): ``forward``
     runs each layer as one taped ``lstm_layer`` record, ``step`` advances the
-    untaped per-layer (1, H) states by one input row.
+    untaped per-layer (n, H) states by one input row each.
     """
 
     def __init__(self, in_dim: int, hidden: int, num_layers: int,
@@ -264,13 +273,24 @@ class TransducerModel:
         row, state = self.prediction.step(state, np.zeros((1, self.config.hidden)))
         return row[0], state
 
-    def prediction_step(self, state, token_id: int):
-        if not (0 <= token_id < self.config.vocab_size):
-            raise ShapeError(f"prediction_step: token id {token_id} outside vocab")
-        row, state = self.prediction.step(state, self.embedding.data[token_id : token_id + 1])
-        return row[0], state
+    def prediction_step(self, state, token_ids):
+        """Advance n prediction states by one label each, in one batched cell
+        call per layer: ``state`` holds per-layer (n, H) (h, c) pairs and
+        ``token_ids`` n ids. Returns the (n, H) output rows and the new state."""
+        ids = np.asarray(token_ids)
+        if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
+            raise ShapeError(f"prediction_step: need a 1-D list of token ids, got {token_ids!r}")
+        bad = ids[(ids < 0) | (ids >= self.config.vocab_size)]
+        if bad.size:
+            raise ShapeError(f"prediction_step: token id {int(bad[0])} outside vocab")
+        if any(h.shape[0] != ids.size for h, _ in state):
+            raise ShapeError(f"prediction_step: {ids.size} token ids for states of "
+                             f"{[h.shape[0] for h, _ in state]} rows")
+        return self.prediction.step(state, self.embedding.data[ids])
 
     def joint_row(self, h_enc_row: np.ndarray, h_pre_row: np.ndarray) -> np.ndarray:
+        """Joint logits of one encoder row against one (H,) or n stacked (n, H)
+        prediction rows: (K+1,) or (n, K+1)."""
         jp = self.joint_params
         s = h_enc_row @ jp.w_enc.data + h_pre_row @ jp.w_pre.data + jp.b.data
         return s @ jp.w_out.data + jp.b_out.data
@@ -316,4 +336,6 @@ def load_checkpoint(path) -> TransducerModel:
         model.load_state(state)
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint lacks {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return model

@@ -151,3 +151,32 @@ def test_checkpoint_missing_tensor_names_file(tmp_path, config_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "embedding" in err
+
+
+def test_unknown_config_keys_name_file_and_keys(tmp_path, config_path, capsys):
+    payload = json.loads(open(config_path).read())
+    payload["bogus"] = 1
+    payload["model"]["extra"] = 2
+    for drop, key in (("bogus", "extra"), (None, "bogus")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({k: v for k, v in payload.items() if k != drop}))
+        rc = main(["gen-corpus", "--config", str(bad), "--out-dir", str(tmp_path / "c")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and key in err
+
+
+def test_unknown_checkpoint_config_key_names_file(tmp_path, config_path, capsys):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--config", config_path, "--corpus", str(corpus_dir / "train.jsonl"),
+                 "--out", str(ckpt)]) == 0
+    payload = json.loads(ckpt.read_text())
+    payload["config"]["extra"] = 2
+    ckpt.write_text(json.dumps(payload))
+    rc = main(["decode", "--checkpoint", str(ckpt), "--corpus", str(corpus_dir / "test.jsonl"),
+               "--out", str(tmp_path / "nbest.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "extra" in err

@@ -128,9 +128,49 @@ def test_inference_stepping_matches_taped_predict(tiny_model):
     row, state = tiny_model.prediction_start()
     rows = [row]
     for y in prefix:
-        row, state = tiny_model.prediction_step(state, y)
-        rows.append(row)
+        row, state = tiny_model.prediction_step(state, [y])
+        rows.append(row[0])
     assert np.allclose(np.array(rows), taped, atol=1e-12)
+
+
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_batched_prediction_step_matches_single_row_steps(tiny_config, layer_norm):
+    config = ModelConfig(**{**tiny_config.to_dict(), "prediction_layers": 2,
+                            "use_layer_norm": layer_norm})
+    model = TransducerModel(config, seed=12)
+    rng = np.random.default_rng(13)
+    # n distinct states: each row walks its own random prefix
+    singles = []
+    for _ in range(4):
+        row, state = model.prediction_start()
+        for y in rng.integers(0, config.vocab_size, size=int(rng.integers(0, 4))):
+            row, state = model.prediction_step(state, [int(y)])
+        singles.append(state)
+    tokens = [3, 0, 3, 1]
+    batch = [(np.concatenate([s[l][0] for s in singles]),
+              np.concatenate([s[l][1] for s in singles])) for l in range(2)]
+    rows, new_batch = model.prediction_step(batch, tokens)
+    assert rows.shape == (4, config.hidden)
+    for i, (state, y) in enumerate(zip(singles, tokens)):
+        row, new_state = model.prediction_step(state, [y])
+        assert np.abs(rows[i] - row[0]).max() <= 1e-12
+        for (hb, cb), (h, c) in zip(new_batch, new_state):
+            assert np.abs(hb[i] - h[0]).max() <= 1e-12
+            assert np.abs(cb[i] - c[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("token_ids", [[0, 4, 1], [-1, 0, 2], [1, 2, 7]])
+def test_prediction_step_rejects_out_of_vocab_id_anywhere(tiny_model, token_ids):
+    state = [(np.zeros((3, 5)), np.zeros((3, 5)))]
+    with pytest.raises(ShapeError, match="outside vocab"):
+        tiny_model.prediction_step(state, token_ids)
+
+
+@pytest.mark.parametrize("token_ids", [2, [[1, 2]], [1.0], [1, 2]])
+def test_prediction_step_rejects_non_1d_ids_or_batch_mismatch(tiny_model, token_ids):
+    _, state = tiny_model.prediction_start()
+    with pytest.raises(ShapeError):
+        tiny_model.prediction_step(state, token_ids)
 
 
 def test_inference_encoder_matches_taped_encode(tiny_model):
