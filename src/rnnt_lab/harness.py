@@ -28,7 +28,8 @@ from .decoding import (DelayStats, ModelDecoder, beam_decode, greedy_decode, mea
                        write_delay_csv, write_nbest)
 from .errors import ConfigError, LabError
 from .loss import rnnt_loss
-from .model import ModelConfig, TransducerModel, reject_unknown_keys, stack_frames
+from .model import (ModelConfig, TransducerModel, check_field_types, reject_unknown_keys,
+                    stack_frames)
 
 
 @dataclass
@@ -50,7 +51,7 @@ class ExperimentConfig:
                              "whole_y1", "whole_y2", "whole_y3")
     pretrain_epochs: int = 10
     # pre-training is the initialization, so its dose may differ per arm
-    pretrain_epochs_by_arm: dict = field(default_factory=dict)
+    pretrain_epochs_by_arm: dict[str, int] = field(default_factory=dict)
     pretrain_lr: float = 1e-3
     train_epochs: int = 10
     learning_rate: float = 1e-3
@@ -60,6 +61,7 @@ class ExperimentConfig:
     max_symbols_per_frame: int = 4
 
     def __post_init__(self):
+        check_field_types(self)
         if self.model.vocab_size < 3:
             raise ConfigError("corpus needs the space token plus at least 2 content tokens")
         for lo, hi in (self.words_per_utt, self.pieces_per_word, self.piece_frames):
@@ -95,7 +97,7 @@ class ExperimentConfig:
         model = ModelConfig.from_dict(d.pop("model", {}))
         for key in ("words_per_utt", "pieces_per_word", "piece_frames",
                     "gap_choices", "gap_weights", "arms"):
-            if key in d:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return cls(model=model, **d)
 

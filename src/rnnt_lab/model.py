@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import copy
 import json
+import numbers
+import typing
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +39,7 @@ class ModelConfig:
     use_layer_norm: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("input_dim", "stack_factor", "stack_stride", "encoder_layers",
                      "prediction_layers", "hidden", "projection", "vocab_size"):
             if getattr(self, name) < 1:
@@ -65,9 +69,46 @@ class ModelConfig:
 
 def reject_unknown_keys(cls, d: dict) -> None:
     """ConfigError naming every key of ``d`` that is not a field of dataclass ``cls``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__}: need a JSON object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"{cls.__name__}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def check_field_types(obj) -> None:
+    """ConfigError naming the first field of dataclass ``obj`` whose value
+    does not match its annotation (int, float, bool, str, a dataclass, or a
+    tuple or dict of those); a float field takes an int, no number field a bool."""
+    hints = _type_hints(type(obj))
+    for f in fields(obj):
+        value, hint = getattr(obj, f.name), hints[f.name]
+        if not _has_type(value, hint):
+            name = hint.__name__ if typing.get_origin(hint) is None else str(hint)
+            raise ConfigError(f"{type(obj).__name__}.{f.name} must be {name}, got {value!r}")
+
+
+@lru_cache(maxsize=None)
+def _type_hints(cls) -> dict:
+    return typing.get_type_hints(cls)  # resolving the annotation strings costs ~0.5 ms
+
+
+def _has_type(value, hint) -> bool:
+    if typing.get_origin(hint) is dict:
+        key_hint, value_hint = typing.get_args(hint)
+        return isinstance(value, dict) and all(
+            _has_type(k, key_hint) and _has_type(v, value_hint) for k, v in value.items())
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, tuple):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_has_type(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_has_type, value, args))
+    if hint in (int, float):
+        number = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 def stack_frames(features, stack: int, stride: int) -> Tensor:
@@ -154,14 +195,24 @@ class LstmStack:
     def initial_state(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(np.zeros((1, l.hidden)), np.zeros((1, l.hidden))) for l in self.layers]
 
-    def step(self, state, x_row: np.ndarray):
+    def step(self, state, x_rows: np.ndarray):
+        """One step of n sequences: (n, D) input rows and per-layer (n, H) (h, c)
+        pairs -> the (n, H) output rows and the new state."""
         new_state = []
         for layer, (h, c) in zip(self.layers, state):
-            ln = (layer.ln_gain.data, layer.ln_bias.data) if layer.layer_norm else (None, None)
-            h, c, _ = nm.lstm_cell(x_row @ layer.w.data, h, c, layer.r.data, layer.b.data, *ln)
+            z = x_rows @ layer.w.data
+            z += h @ layer.r.data
+            z += layer.b.data
+            scale = nm.lstm_gate_scale(layer.hidden)
+            if layer.layer_norm:
+                ln = (layer.ln_gain.data * scale, layer.ln_bias.data * scale)
+            else:
+                z *= scale
+                ln = None
+            h, c, _ = nm.lstm_cell(z, c, ln=ln)
             new_state.append((h, c))
-            x_row = h
-        return x_row, new_state
+            x_rows = h
+        return x_rows, new_state
 
 
 class JointParams:
@@ -216,7 +267,11 @@ class TransducerModel:
         return {name: t.data.copy() for name, t in self.named_parameters()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_parameters():
+        named = self.named_parameters()
+        unknown = sorted(set(state) - {name for name, _ in named})
+        if unknown:
+            raise ConfigError(f"unknown tensor(s) {', '.join(map(repr, unknown))} for this model")
+        for name, t in named:
             src = np.asarray(state[name], dtype=np.float64)
             if src.shape != t.data.shape:
                 raise ShapeError(f"parameter {name}: stored shape {src.shape} != model {t.data.shape}")

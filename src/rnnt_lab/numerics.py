@@ -14,6 +14,7 @@ of all its contributions. Callers zero grads between steps.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -307,36 +308,68 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
     return out
 
 
-def lstm_cell(xw: np.ndarray, h: np.ndarray, c: np.ndarray, r: np.ndarray, b: np.ndarray,
-              ln_gain: np.ndarray | None = None, ln_bias: np.ndarray | None = None):
-    """One LSTM step on plain arrays; the only LSTM cell, for training and decoding.
+@lru_cache(maxsize=None)
+def lstm_gate_scale(hh: int) -> np.ndarray:
+    """(4H,) read-only column scale of a packed i, f, g, o pre-activation:
+    0.5 on the sigmoid gates i, f, o and 1 on the cell input g.
 
-    ``xw`` is the step's input projection x @ W as a (1, 4H) row, ``h`` and
-    ``c`` the (1, H) states, ``r`` the (H, 4H) recurrent weights. Gates are
-    packed i, f, g, o; with ``ln_gain``/``ln_bias`` the 4H pre-activation is
-    layer-normalized. Returns (h_new, c_new, acts): ``acts`` is what BPTT
-    needs, (a, tanh(c_new), xhat, inv) with ``a`` the packed gate activations
-    and xhat/inv the layer-norm terms (None without layer norm).
+    With s this vector, the gates are s * tanh(s * z) + (1 - s), because
+    sigmoid(v) = 0.5 * tanh(v / 2) + 0.5: one tanh over the packed row gives
+    all four. Halving is exact in floating point, so it folds into the input
+    projection and the recurrent weights (or the layer-norm gain and bias).
     """
-    z = xw + h @ r + b
-    xhat = inv = None
-    if ln_gain is not None:
-        z, xhat, inv = _layer_norm_forward(z, ln_gain, ln_bias)
-    hh = c.shape[1]
-    a = 1.0 / (1.0 + np.exp(-z))
-    a[:, 2 * hh : 3 * hh] = np.tanh(z[:, 2 * hh : 3 * hh])
-    c_new = a[:, hh : 2 * hh] * c + a[:, :hh] * a[:, 2 * hh : 3 * hh]
-    tc = np.tanh(c_new)
-    return a[:, 3 * hh :] * tc, c_new, (a, tc, xhat, inv)
+    s = np.full(4 * hh, 0.5)
+    s[2 * hh : 3 * hh] = 1.0
+    s.setflags(write=False)
+    return s
+
+
+@lru_cache(maxsize=None)
+def _lstm_gate_shift(hh: int) -> np.ndarray:
+    shift = 1.0 - lstm_gate_scale(hh)
+    shift.setflags(write=False)
+    return shift
+
+
+def lstm_cell(z: np.ndarray, c: np.ndarray, c_out: np.ndarray | None = None,
+              h_out: np.ndarray | None = None, tc_out: np.ndarray | None = None, ln=None):
+    """One LSTM step on plain arrays, in place; the only LSTM cell, for training and decoding.
+
+    ``z`` is the (..., 4H) pre-activation x @ W + h @ R + b, gates packed
+    i, f, g, o, already scaled by ``lstm_gate_scale``; with ``ln`` = (gain,
+    bias) it is unscaled and layer-normalized here, with gain and bias
+    carrying the scale instead. ``c`` is the (..., H) previous cell state.
+    ``z`` is overwritten with the gate activations, and the new cell state,
+    hidden state and tanh(cell state) are written to ``c_out``, ``h_out`` and
+    ``tc_out`` (new arrays where None). Returns (h, c, ln_stats): ln_stats is
+    the layer norm's (xhat, inv) for BPTT, None without layer norm.
+    """
+    hh = c.shape[-1]
+    ln_stats = None
+    if ln is None:
+        np.tanh(z, out=z)
+    else:
+        y, *ln_stats = _layer_norm_forward(z, *ln)
+        np.tanh(y, out=z)
+    z *= lstm_gate_scale(hh)
+    z += _lstm_gate_shift(hh)
+    i, f, g, o = z.reshape(*z.shape[:-1], 4, hh).swapaxes(0, -2)
+    c_out = np.multiply(f, c, out=c_out)
+    c_out += i * g
+    tc_out = np.tanh(c_out, out=tc_out)
+    return np.multiply(o, tc_out, out=h_out), c_out, ln_stats
 
 
 def lstm_layer(x: Tensor, w: Tensor, r: Tensor, b: Tensor,
                ln_gain: Tensor | None = None, ln_bias: Tensor | None = None) -> Tensor:
     """A whole LSTM layer over a (T, D) sequence from zero state: (T, H) hidden rows.
 
-    Forward is one input GEMM x @ w for all frames, then ``lstm_cell`` per
-    step. Taped, it writes one record whose backward is analytic BPTT over the
-    saved gate activations; untaped, nothing is kept for backward.
+    Forward is one input GEMM x @ w + b for all frames, then ``lstm_cell``
+    per step, writing the gates and states into buffers allocated once.
+    Taped, it writes one record whose backward is analytic BPTT over those
+    buffers; untaped, nothing is kept for backward. An input that no record
+    produced and that holds no grad buffer is data (the features into the
+    first encoder layer): backward computes no gradient for it.
     """
     if x.data.ndim != 2 or x.shape[0] == 0:
         raise ShapeError(f"lstm_layer: need a nonempty (T, D) input, got shape {x.shape}")
@@ -347,61 +380,63 @@ def lstm_layer(x: Tensor, w: Tensor, r: Tensor, b: Tensor,
     if (ln_gain is None) != (ln_bias is None) or (
             ln_gain is not None and (ln_gain.shape != (4 * hh,) or ln_bias.shape != (4 * hh,))):
         raise ShapeError(f"lstm_layer: layer norm needs gain and bias of shape ({4 * hh},)")
-    ln = (None, None) if ln_gain is None else (ln_gain.data, ln_bias.data)
     tape = active_tape()
-    xw = x.data @ w.data
-    h = np.zeros((1, hh))
-    c = np.zeros((1, hh))
-    hs, cs, saved = [], [c], []
-    with np.errstate(over="ignore"):
-        for t in range(x.shape[0]):
-            h, c, acts = lstm_cell(xw[t : t + 1], h, c, r.data, b.data, *ln)
-            hs.append(h)
-            if tape is not None:
-                cs.append(c)
-                saved.append(acts)
-    out = Tensor(np.concatenate(hs))
+    t_len = x.shape[0]
+    scale = lstm_gate_scale(hh)
+    # (T, 4H) pre-activations from the input side; each step adds h @ R to
+    # its row, which the cell then overwrites with the gate activations
+    a = x.data @ w.data
+    a += b.data
+    if ln_gain is None:
+        a *= scale
+        r_step, ln = r.data * scale, None
+    else:
+        r_step, ln = r.data, (ln_gain.data * scale, ln_bias.data * scale)
+        xhat = np.empty((t_len, 4 * hh))
+        inv = np.empty((t_len, 1))
+    hs = np.zeros((t_len + 1, hh))  # row t is the state before step t; row 0 is zero
+    cs = np.zeros((t_len + 1, hh))
+    tcs = np.empty((t_len, hh))
+    for t, (z, h, c, c_new, tc, h_new) in enumerate(
+            zip(a, hs[:-1], cs[:-1], cs[1:], tcs, hs[1:])):
+        z += h @ r_step
+        ln_stats = lstm_cell(z, c, c_new, h_new, tc, ln)[2]
+        if ln is not None:
+            xhat[t], inv[t] = ln_stats
+    out = Tensor(hs[1:])
     if tape is None:
         return out
+    x_wants_grad = x.grad is not None or any(rec.output is x for rec in reversed(tape.records))
 
     def backward(g):
-        t_len = len(saved)
-        a = np.concatenate([s[0] for s in saved])
-        tc = np.concatenate([s[1] for s in saved])
-        c_prev = np.concatenate(cs[:-1])
-        h_prev = np.concatenate([np.zeros((1, hh)), out.data[:-1]])
-        i, f, gg, o = (a[:, k * hh : (k + 1) * hh] for k in range(4))
-        # dz (the 4H pre-activation grad) = dc * p for i, f, g and dh * q for o
-        p = np.stack([gg * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - gg * gg)], axis=1)
-        q = tc * o * (1.0 - o)
-        dc_dh = o * (1.0 - tc * tc)
+        i, f, gg, o = a.reshape(t_len, 4, hh).swapaxes(0, 1)
+        # dz (the 4H pre-activation grad) = [dc, dc, dc, dh] * pq row-wise
+        pq = np.stack([gg * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - gg * gg),
+                       tcs * o * (1.0 - o)], axis=1)
+        dc_dh = o * (1.0 - tcs * tcs)
         dz = np.empty((t_len, 4, hh))
-        rt = r.data.T
-        if ln_gain is not None:
-            xhat = np.concatenate([s[2] for s in saved])
-            inv = np.concatenate([s[3] for s in saved])
-            dz_pre = np.empty((t_len, 4 * hh))
-        dh_next = np.zeros(hh)
-        dc_next = np.zeros(hh)
+        dz_flat = dz.reshape(t_len, 4 * hh)
+        dz_pre = dz_flat if ln is None else np.empty((t_len, 4 * hh))  # grad before layer norm
+        rt = r.data.T  # a contiguous copy costs more than it saves at these sizes
+        d = np.zeros((4, hh))
+        dc = d[:3]  # dL/dc[t], kept three times over, one per i, f, g row of pq
+        dh = d[3]  # dz[t + 1] @ R^T, then dL/dh[t]
         for t in range(t_len - 1, -1, -1):
-            dh = g[t] + dh_next
-            dc = dc_next + dh * dc_dh[t]
-            np.multiply(dc, p[t], out=dz[t, :3])
-            np.multiply(dh, q[t], out=dz[t, 3])
-            dzt = dz[t].reshape(4 * hh)
-            if ln_gain is not None:
-                dzt = dz_pre[t] = _layer_norm_input_grad(dzt * ln[0], xhat[t], inv[t])
-            dh_next = dzt @ rt
-            dc_next = dc * f[t]
-        dz = dz.reshape(t_len, 4 * hh)
-        if ln_gain is not None:
-            ln_gain.ensure_grad()[...] += (dz * xhat).sum(axis=0)
-            ln_bias.ensure_grad()[...] += dz.sum(axis=0)
-            dz = dz_pre
-        x.ensure_grad()[...] += dz @ w.data.T
-        w.ensure_grad()[...] += x.data.T @ dz
-        r.ensure_grad()[...] += h_prev.T @ dz
-        b.ensure_grad()[...] += dz.sum(axis=0)
+            dh += g[t]
+            dc += dh * dc_dh[t]
+            np.multiply(d, pq[t], out=dz[t])
+            if ln is not None:
+                dz_pre[t] = _layer_norm_input_grad(dz_flat[t] * ln_gain.data, xhat[t], inv[t])
+            np.matmul(dz_pre[t], rt, out=dh)
+            dc *= f[t]
+        if ln is not None:
+            ln_gain.ensure_grad()[...] += (dz_flat * xhat).sum(axis=0)
+            ln_bias.ensure_grad()[...] += dz_flat.sum(axis=0)
+        if x_wants_grad:
+            x.ensure_grad()[...] += dz_pre @ w.data.T
+        w.ensure_grad()[...] += x.data.T @ dz_pre
+        r.ensure_grad()[...] += hs[:-1].T @ dz_pre
+        b.ensure_grad()[...] += dz_pre.sum(axis=0)
 
     inputs = (x, w, r, b) if ln_gain is None else (x, w, r, b, ln_gain, ln_bias)
     _record("lstm_layer", inputs, out, backward)

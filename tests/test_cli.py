@@ -95,6 +95,15 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     assert rc != 0
 
 
+def test_wrong_type_config_value_names_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"model": {"hidden": "x"}}))
+    rc = main(["gen-corpus", "--config", str(bad), "--out-dir", str(tmp_path / "c")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "ModelConfig.hidden must be int" in err
+
+
 def test_malformed_json_config_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seed": 1,')
@@ -151,6 +160,22 @@ def test_checkpoint_missing_tensor_names_file(tmp_path, config_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "embedding" in err
+
+
+def test_checkpoint_extra_tensor_names_file_and_tensor(tmp_path, config_path, capsys):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--config", config_path, "--corpus", str(corpus_dir / "train.jsonl"),
+                 "--out", str(ckpt)]) == 0
+    payload = json.loads(ckpt.read_text())
+    payload["tensors"]["bogus.w"] = {"shape": [1], "data": [0.0]}
+    ckpt.write_text(json.dumps(payload))
+    rc = main(["decode", "--checkpoint", str(ckpt), "--corpus", str(corpus_dir / "test.jsonl"),
+               "--out", str(tmp_path / "nbest.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "bogus.w" in err
 
 
 def test_unknown_config_keys_name_file_and_keys(tmp_path, config_path, capsys):

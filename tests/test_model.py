@@ -173,6 +173,37 @@ def test_prediction_step_rejects_non_1d_ids_or_batch_mismatch(tiny_model, token_
         tiny_model.prediction_step(state, token_ids)
 
 
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_stack_step_reproduces_forward_rows(tiny_config, layer_norm):
+    # decoding's step and the taped layer run the same cell with the same gate scaling
+    config = ModelConfig(**{**tiny_config.to_dict(), "encoder_layers": 2,
+                            "use_layer_norm": layer_norm})
+    stack = TransducerModel(config, seed=21).encoder
+    rng = np.random.default_rng(22)
+    for _, p in stack.named_parameters("encoder"):  # nonzero biases and layer-norm shifts
+        p.data += rng.uniform(-0.5, 0.5, size=p.shape)
+    x = rng.normal(size=(7, config.encoder_input_dim))
+    want = stack.forward(Tensor(x)).data
+    state = stack.initial_state()
+    for t, row in enumerate(x):
+        out, state = stack.step(state, row[None])
+        assert np.abs(out[0] - want[t]).max() <= 1e-12
+
+
+def test_encoder_features_get_no_grad_but_layer_inputs_do(tiny_config):
+    config = ModelConfig(**{**tiny_config.to_dict(), "encoder_layers": 2})
+    model = TransducerModel(config, seed=23)
+    feats = Tensor(np.random.default_rng(24).normal(size=(5, config.encoder_input_dim)))
+    with Tape() as tape:
+        h = model.encode(feats)
+        tape.backward(h, seed=np.ones(h.shape))
+    layer0, layer1 = tape.records
+    assert layer0.inputs[0].grad is None  # the features are data: no dX GEMM
+    assert np.abs(layer1.inputs[0].grad).max() > 0.0  # layer 0's output is not a leaf
+    assert feats.grad is None
+    assert all(np.abs(p.grad).max() > 0.0 for p in model.encoder_parameters())
+
+
 def test_inference_encoder_matches_taped_encode(tiny_model):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(5, 6))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnnt_lab import Adam, NumericsError, ShapeError, Tape, Tensor, grad_check, logsumexp
 from rnnt_lab import numerics as nm
@@ -100,22 +102,55 @@ def test_grad_check_quadratic():
     assert grad_check(f, [x], eps=1e-5) < 1e-8
 
 
-def reference_lstm(x, w, r, b, gain=None, bias=None):
-    """Per-step LSTM on plain arrays, gates packed i, f, g, o: the oracle for lstm_layer."""
+def reference_lstm(x, w, r, b, gain=None, bias=None, seed=None):
+    """Per-step LSTM on plain arrays, gates packed i, f, g, o: the oracle for lstm_layer.
+
+    Returns the (T, H) hidden rows; with ``seed`` (dL/dh, (T, H)) also the
+    gradients of x, w, r, b (and gain, bias) by per-step BPTT in the plain
+    sigmoid form.
+    """
     hh = r.shape[0]
-    h, c, out = np.zeros(hh), np.zeros(hh), []
+    h, c, out, steps = np.zeros(hh), np.zeros(hh), [], []
     for row in x:
-        z = row @ w + h @ r + b
+        pre = row @ w + h @ r + b
+        z, xhat, inv = pre, None, None
         if gain is not None:
-            z = (z - z.mean()) / np.sqrt(z.var() + 1e-5) * gain + bias
+            inv = 1.0 / np.sqrt(pre.var() + 1e-5)
+            xhat = (pre - pre.mean()) * inv
+            z = xhat * gain + bias
         i = 1.0 / (1.0 + np.exp(-z[:hh]))
         f = 1.0 / (1.0 + np.exp(-z[hh : 2 * hh]))
         g = np.tanh(z[2 * hh : 3 * hh])
         o = 1.0 / (1.0 + np.exp(-z[3 * hh :]))
+        steps.append((row, h, c, i, f, g, o, xhat, inv))
         c = f * c + i * g
         h = o * np.tanh(c)
         out.append(h)
-    return np.array(out)
+    if seed is None:
+        return np.array(out)
+    grads = [np.zeros_like(x), np.zeros_like(w), np.zeros_like(r), np.zeros_like(b)]
+    if gain is not None:
+        grads += [np.zeros_like(gain), np.zeros_like(bias)]
+    dh_next, dc_next = np.zeros(hh), np.zeros(hh)
+    for t in range(len(steps) - 1, -1, -1):
+        row, h_prev, c_prev, i, f, g, o, xhat, inv = steps[t]
+        c = f * c_prev + i * g
+        dh = seed[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - np.tanh(c) ** 2)
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), dh * np.tanh(c) * o * (1.0 - o)])
+        if gain is not None:
+            grads[4] += dz * xhat
+            grads[5] += dz
+            dxhat = dz * gain
+            dz = inv * (dxhat - dxhat.mean() - xhat * (dxhat * xhat).mean())
+        grads[0][t] += w @ dz
+        grads[1] += np.outer(row, dz)
+        grads[2] += np.outer(h_prev, dz)
+        grads[3] += dz
+        dh_next = r @ dz
+        dc_next = dc * f
+    return np.array(out), grads
 
 
 def lstm_inputs(rng, t_len, layer_norm, d=3, hh=4):
@@ -165,6 +200,26 @@ def test_lstm_layer_matches_per_step_reference(layer_norm):
     untaped = nm.lstm_layer(*inputs)
     assert np.abs(taped.data - want).max() <= 1e-12
     assert np.array_equal(untaped.data, taped.data)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), t_len=st.integers(1, 12), d=st.integers(1, 7),
+       hh=st.integers(1, 9), layer_norm=st.booleans())
+def test_lstm_layer_matches_per_step_oracle_property(seed, t_len, d, hh, layer_norm):
+    rng = np.random.default_rng(seed)
+    inputs = lstm_inputs(rng, t_len, layer_norm, d=d, hh=hh)
+    dh = rng.uniform(-1, 1, size=(t_len, hh))
+    want, want_grads = reference_lstm(*(t.data for t in inputs), seed=dh)
+    for p in inputs:
+        p.grad = np.zeros_like(p.data)  # a grad buffer on x asks for dX
+    with Tape() as tape:
+        taped = nm.lstm_layer(*inputs)
+        tape.backward(taped, seed=dh)
+    untaped = nm.lstm_layer(*inputs)
+    assert np.abs(taped.data - want).max() <= 1e-12
+    assert np.array_equal(untaped.data, taped.data)
+    for p, want_grad in zip(inputs, want_grads):
+        assert np.abs(p.grad - want_grad).max() <= 1e-12
 
 
 def test_layer_norm_gradient():
