@@ -7,15 +7,14 @@ import json
 import sys
 from pathlib import Path
 
-from . import pretrain as pt
-from .corpus import load_corpus, save_corpus
+from .corpus import load_corpus, piece_word_map, save_corpus
 from .decoding import (DelayStats, Hypothesis, beam_decode, measure_delay, read_nbest,
                        write_delay_csv, write_nbest)
-from .corpus import piece_word_map
 from .errors import ConfigError, LabError
-from .harness import (ExperimentConfig, arm_pretrain_epochs, gen_corpus,
-                      run_experiment, train_transducer)
-from .model import TransducerModel, load_checkpoint, save_checkpoint
+from .harness import (ARM_INITIALIZERS, PRETRAIN_VARIANTS, ExperimentConfig,
+                      arm_pretrain_epochs, canonical_arm, gen_corpus, run_experiment,
+                      train_transducer)
+from .model import TransducerModel, load_checkpoint, save_checkpoint, stack_frames
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
@@ -33,42 +32,30 @@ def _cmd_gen_corpus(args) -> int:
     return 0
 
 
-_VARIANT_ARMS = {"enc-ce": "encoder_ce", "enc-ctc": "ctc", "lm": "lm",
-                 "y1": "whole_y1", "y2": "whole_y2", "y3": "whole_y3"}
-
-
 def _cmd_pretrain(args) -> int:
     cfg = _load_config(args.config)
-    corpus = load_corpus(args.corpus)
     model = TransducerModel(cfg.model, seed=cfg.seed)
-    kwargs = dict(epochs=arm_pretrain_epochs(cfg, _VARIANT_ARMS[args.variant]),
-                  lr=cfg.pretrain_lr, batch_size=cfg.batch_size, seed=cfg.seed)
-    if args.variant == "enc-ce":
-        report = pt.pretrain_encoder_ce(model, corpus, space_id=cfg.space_id, **kwargs)
-    elif args.variant == "enc-ctc":
-        report = pt.pretrain_encoder_ctc(model, corpus, **kwargs)
-    elif args.variant == "lm":
-        report = pt.pretrain_prediction_lm(model, corpus, **kwargs)
-    else:
-        report = pt.pretrain_whole_network(model, corpus, args.variant,
-                                           space_id=cfg.space_id, **kwargs)
-    save_checkpoint(args.out, model, extra={"pretrain": report.manifest()})
+    corpus = load_corpus(args.corpus, cfg.model)
+    arm = canonical_arm(args.variant)
+    epochs = arm_pretrain_epochs(cfg, arm)
+    manifest = ARM_INITIALIZERS[arm](model, corpus, cfg, epochs)
+    save_checkpoint(args.out, model, extra={"pretrain": manifest})
     manifest_path = args.out + ".manifest.json"
     with open(manifest_path, "w") as fh:
-        json.dump(report.manifest(), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"{args.variant}: final loss {report.final_loss}, "
-          f"skipped {report.skipped}; checkpoint {args.out}")
+    print(f"{args.variant}: pre-trained arm {arm} for {epochs} epochs; "
+          f"checkpoint {args.out}, manifest {manifest_path}")
     return 0
 
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    corpus = load_corpus(args.corpus)
     if args.init == "random":
         model = TransducerModel(cfg.model, seed=cfg.seed)
     else:
         model = load_checkpoint(args.init)
+    corpus = load_corpus(args.corpus, model.config)
     losses = train_transducer(model, corpus, cfg)
     save_checkpoint(args.out, model, extra={"train_losses": losses})
     final = losses[-1] if losses else None
@@ -78,9 +65,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_decode(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus)
-    from .model import stack_frames
-
+    corpus = load_corpus(args.corpus, model.config)
     entries = []
     for utt in corpus:
         stacked = stack_frames(utt.features, model.config.stack_factor,
@@ -139,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_corpus)
 
     p = sub.add_parser("pretrain", help="run one pre-training schedule")
-    p.add_argument("--variant", required=True,
-                   choices=["enc-ce", "enc-ctc", "lm", "y1", "y2", "y3"])
+    p.add_argument("--variant", required=True, choices=PRETRAIN_VARIANTS)
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--corpus", required=True, help="training corpus JSONL")
     p.add_argument("--out", required=True, help="checkpoint path")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .alignment import WordSpan, build_frame_alignment, collapse
 from .errors import ConfigError, ShapeError
+from .model import ModelConfig
 
 
 @dataclass
@@ -65,16 +66,40 @@ def save_corpus(path, utterances: list[Utterance]) -> None:
             fh.write("\n")
 
 
-def load_corpus(path) -> list[Utterance]:
+def check_utterance(utt: Utterance, model: ModelConfig) -> None:
+    """ConfigError unless ``utt`` fits ``model``: finite (N, input_dim) features,
+    transcript and word-piece ids in [0, vocab_size)."""
+    feats = utt.features
+    if feats.ndim != 2 or feats.shape[1] != model.input_dim:
+        raise ConfigError(f"features have shape {feats.shape}, but the model's "
+                          f"input_dim is {model.input_dim}")
+    if not np.isfinite(feats).all():
+        raise ConfigError("features hold a non-finite value")
+    for where, ids in [("transcript", utt.transcript),
+                       *((f"word '{w.word}'", w.pieces) for w in utt.words)]:
+        for k in ids:
+            if not (isinstance(k, int) and 0 <= k < model.vocab_size):
+                raise ConfigError(f"{where}: token id {k!r} outside the model's "
+                                  f"vocab_size {model.vocab_size}")
+
+
+def load_corpus(path, model: ModelConfig | None = None) -> list[Utterance]:
+    """Read a JSONL corpus; with ``model``, also check each utterance against it."""
     utterances = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                utterances.append(utterance_from_json(line))
-            except (json.JSONDecodeError, KeyError) as exc:
+                utt = utterance_from_json(line)
+            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
                 raise ConfigError(f"{path}:{lineno}: malformed utterance ({exc!r})") from exc
+            if model is not None:
+                try:
+                    check_utterance(utt, model)
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            utterances.append(utt)
     return utterances
 
 

@@ -75,12 +75,18 @@ class ExperimentConfig:
             raise ConfigError("noise must be non-negative")
         if not (0 <= self.space_id < self.model.vocab_size):
             raise ConfigError("space_id must be a vocabulary token")
-        for arm in self.arms:
-            if canonical_arm(arm) not in ARM_INITIALIZERS:
-                raise ConfigError(f"unknown arm '{arm}'")
-        for arm in self.pretrain_epochs_by_arm:
-            if canonical_arm(arm) not in ARM_INITIALIZERS:
-                raise ConfigError(f"pretrain_epochs_by_arm: unknown arm '{arm}'")
+        for name, low in (("pretrain_epochs", 0), ("train_epochs", 0), ("batch_size", 1),
+                          ("beam_width", 1), ("max_symbols_per_frame", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # every later reader sees canonical arm names only
+        self.arms = tuple(_canonical_arms("arms", self.arms))
+        by_arm = self.pretrain_epochs_by_arm
+        self.pretrain_epochs_by_arm = dict(zip(_canonical_arms("pretrain_epochs_by_arm", by_arm),
+                                               by_arm.values()))
+        for arm, epochs in self.pretrain_epochs_by_arm.items():
+            if epochs < 0:
+                raise ConfigError(f"pretrain_epochs_by_arm: {arm} must be >= 0, got {epochs}")
 
     def to_dict(self) -> dict:
         d = {k: v for k, v in self.__dict__.items() if k != "model"}
@@ -113,12 +119,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
-def canonical_arm(name: str) -> str:
-    aliases = {"ctc+lm": "ctc_lm", "ctc_encoder": "ctc", "enc_ce": "encoder_ce",
-               "enc-ce": "encoder_ce", "enc-ctc": "ctc"}
-    return aliases.get(name, name)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +332,34 @@ ARM_INITIALIZERS = {
     "whole_y3": _make_whole("y3"),
 }
 
+# Other names for the arms; config files and `rnnt-lab pretrain --variant` take either.
+ARM_ALIASES = {"ctc+lm": "ctc_lm", "ctc_encoder": "ctc", "enc_ce": "encoder_ce",
+               "enc-ce": "encoder_ce", "enc-ctc": "ctc",
+               "y1": "whole_y1", "y2": "whole_y2", "y3": "whole_y3"}
+
+
+def canonical_arm(name: str) -> str:
+    """The arm ``name`` stands for: itself, or the arm it is an alias of."""
+    return ARM_ALIASES.get(name, name)
+
+
+# every name above except random's: it has no schedule to run on its own
+PRETRAIN_VARIANTS = tuple(name for name in (*ARM_INITIALIZERS, *ARM_ALIASES)
+                          if ARM_INITIALIZERS[canonical_arm(name)] is not _init_random)
+
+
+def _canonical_arms(field_name: str, names) -> list[str]:
+    """The arms ``names`` stand for; ConfigError on an unknown name or a repeated arm."""
+    arms = []
+    for name in names:
+        arm = canonical_arm(name)
+        if arm not in ARM_INITIALIZERS:
+            raise ConfigError(f"{field_name}: unknown arm '{name}'")
+        if arm in arms:
+            raise ConfigError(f"{field_name}: '{name}' names arm '{arm}' a second time")
+        arms.append(arm)
+    return arms
+
 
 # ---------------------------------------------------------------------------
 # the experiment runner
@@ -354,8 +382,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     rows: list[MetricsRow] = []
     arm_summaries: dict[str, dict] = {}
 
-    for arm_name in cfg.arms:
-        arm = canonical_arm(arm_name)
+    for arm in cfg.arms:
         started = time.perf_counter()
         model = base.clone()
         try:

@@ -122,32 +122,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data + b.data)
-
-    def backward(g):
-        a.ensure_grad()[...] += g
-        b.ensure_grad()[...] += g
-
-    _record("add", (a, b), out, backward)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data * b.data)
-
-    def backward(g):
-        a.ensure_grad()[...] += g * b.data
-        b.ensure_grad()[...] += g * a.data
-
-    _record("mul", (a, b), out, backward)
-    return out
-
-
 def add_row(a: Tensor, bias: Tensor) -> Tensor:
     """Add a length-n vector to every row of a (..., n) tensor."""
     if bias.data.ndim != 1 or a.shape[-1] != bias.shape[0]:
@@ -160,41 +134,6 @@ def add_row(a: Tensor, bias: Tensor) -> Tensor:
         bias.ensure_grad()[...] += g.sum(axis=lead) if lead else g
 
     _record("add_row", (a, bias), out, backward)
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(s)
-
-    def backward(g):
-        x.ensure_grad()[...] += g * s * (1.0 - s)
-
-    _record("sigmoid", (x,), out, backward)
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    out = Tensor(t)
-
-    def backward(g):
-        x.ensure_grad()[...] += g * (1.0 - t * t)
-
-    _record("tanh", (x,), out, backward)
-    return out
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols: bad range [{start}:{stop}] for shape {x.shape}")
-    out = Tensor(x.data[:, start:stop])
-
-    def backward(g):
-        x.ensure_grad()[:, start:stop] += g
-
-    _record("slice_cols", (x,), out, backward)
     return out
 
 
@@ -255,22 +194,6 @@ def log_softmax_array(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    """Max-shifted log softmax over the last axis; each output slice logsumexps to 0."""
-    if x.shape[-1] < 1:
-        raise ShapeError(f"log_softmax: empty last axis in shape {x.shape}")
-    if not np.isfinite(x.data).all():
-        raise NumericsError("log_softmax: input contains non-finite values")
-    y = log_softmax_array(x.data)
-    out = Tensor(y)
-
-    def backward(g):
-        x.ensure_grad()[...] += g - np.exp(y) * g.sum(axis=-1, keepdims=True)
-
-    _record("log_softmax", (x,), out, backward)
-    return out
-
-
 LN_EPS = 1e-5
 
 
@@ -288,24 +211,6 @@ def _layer_norm_input_grad(gx: np.ndarray, xhat: np.ndarray, inv: np.ndarray) ->
     m1 = gx.mean(axis=-1, keepdims=True)
     m2 = (gx * xhat).mean(axis=-1, keepdims=True)
     return inv * (gx - m1 - xhat * m2)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    n = x.shape[-1]
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(f"layer_norm: gain/bias must be ({n},), got {gain.shape}, {bias.shape}")
-    y, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data, eps)
-    out = Tensor(y)
-    lead = tuple(range(x.data.ndim - 1))
-
-    def backward(g):
-        x.ensure_grad()[...] += _layer_norm_input_grad(g * gain.data, xhat, inv)
-        gain.ensure_grad()[...] += (g * xhat).sum(axis=lead) if lead else (g * xhat)
-        bias.ensure_grad()[...] += g.sum(axis=lead) if lead else g
-
-    _record("layer_norm", (x, gain, bias), out, backward)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from rnnt_lab.cli import main
-from rnnt_lab.harness import ExperimentConfig
-from rnnt_lab.model import ModelConfig
+from rnnt_lab.corpus import load_corpus
+from rnnt_lab.harness import (ARM_ALIASES, ARM_INITIALIZERS, PRETRAIN_VARIANTS,
+                              ExperimentConfig, arm_pretrain_epochs, canonical_arm)
+from rnnt_lab.model import ModelConfig, TransducerModel, save_checkpoint
 
 
 @pytest.fixture
@@ -205,3 +207,65 @@ def test_unknown_checkpoint_config_key_names_file(tmp_path, config_path, capsys)
     assert rc == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "extra" in err
+
+
+def test_pretrain_variants_are_the_arm_names_but_random(tmp_path, config_path):
+    assert set(PRETRAIN_VARIANTS) == {*ARM_INITIALIZERS, *ARM_ALIASES} - {"random"}
+    with pytest.raises(SystemExit):
+        main(["pretrain", "--variant", "random", "--config", config_path,
+              "--corpus", str(tmp_path / "c.jsonl"), "--out", str(tmp_path / "x.json")])
+
+
+@pytest.mark.parametrize("variant", ["enc-ce", "enc-ctc", "lm", "y1", "y2", "y3"])
+def test_pretrain_variant_runs_the_arm_initializer(tmp_path, config_path, variant):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    train_jsonl = str(corpus_dir / "train.jsonl")
+    ckpt = tmp_path / "cli.json"
+    assert main(["pretrain", "--variant", variant, "--config", config_path,
+                 "--corpus", train_jsonl, "--out", str(ckpt)]) == 0
+
+    cfg = ExperimentConfig.from_json(config_path)
+    model = TransducerModel(cfg.model, seed=cfg.seed)
+    arm = canonical_arm(variant)
+    manifest = ARM_INITIALIZERS[arm](model, load_corpus(train_jsonl), cfg,
+                                     arm_pretrain_epochs(cfg, arm))
+    direct = tmp_path / "direct.json"
+    save_checkpoint(direct, model, extra={"pretrain": manifest})
+    assert ckpt.read_bytes() == direct.read_bytes()
+    assert json.loads((tmp_path / "cli.json.manifest.json").read_text()) == manifest
+
+
+CORPUS_DEFECTS = {
+    "transcript-id": (lambda r: r["transcript"].append(99), "token id 99"),
+    "piece-id": (lambda r: r["words"][0]["pieces"].append(7), "token id 7"),
+    "feature-width": (lambda r: r.update(features=[row[:3] for row in r["features"]]),
+                      "input_dim is 4"),
+    "nan-feature": (lambda r: r["features"][1].__setitem__(0, float("nan")), "non-finite"),
+    "text-feature": (lambda r: r["features"][1].__setitem__(0, "x"), "malformed utterance"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CORPUS_DEFECTS))
+def test_corpus_that_does_not_fit_the_model_names_file_and_line(tmp_path, config_path,
+                                                                 capsys, defect):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    corpus = corpus_dir / "train.jsonl"
+    lines = corpus.read_text().splitlines()
+    record = json.loads(lines[1])
+    corrupt, message = CORPUS_DEFECTS[defect]
+    corrupt(record)
+    lines[1] = json.dumps(record)
+    corpus.write_text("\n".join(lines) + "\n")
+    cfg = ExperimentConfig.from_json(config_path)
+    ckpt = str(tmp_path / "model.json")
+    save_checkpoint(ckpt, TransducerModel(cfg.model, seed=cfg.seed))
+    out = str(tmp_path / "out.json")
+    for argv in (["pretrain", "--variant", "enc-ce", "--config", config_path],
+                 ["train", "--config", config_path],
+                 ["decode", "--checkpoint", ckpt]):
+        assert main(argv + ["--corpus", str(corpus), "--out", out]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"{corpus}:2:" in err and message in err, (argv[0], err)
+    assert not (tmp_path / "out.json").exists()

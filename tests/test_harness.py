@@ -188,8 +188,7 @@ def test_single_utterance_corpus_every_arm_overfits(tmp_path):
     base = TransducerModel(cfg.model, seed=cfg.seed)
     for arm in cfg.arms:
         model = base.clone()
-        harness.ARM_INITIALIZERS[harness.canonical_arm(arm)](
-            model, train, cfg, harness.arm_pretrain_epochs(cfg, arm))
+        harness.ARM_INITIALIZERS[arm](model, train, cfg, harness.arm_pretrain_epochs(cfg, arm))
         harness.train_transducer(model, train, cfg)
         error, _, _ = harness.evaluate_model(model, train, cfg)
         assert error == 0.0, f"arm {arm} failed to overfit"
@@ -216,3 +215,33 @@ def test_config_json_roundtrip(tmp_path):
     loaded = ExperimentConfig.from_json(path)
     assert loaded == cfg
     assert loaded.config_hash() == cfg.config_hash()
+
+
+def test_alias_key_in_pretrain_epochs_by_arm_takes_effect(tmp_path):
+    cfg = small_config(arms=("enc-ce",), pretrain_epochs_by_arm={"enc_ce": 3}, train_epochs=1)
+    assert cfg.arms == ("encoder_ce",)
+    assert harness.arm_pretrain_epochs(cfg, "encoder_ce") == 3
+    summary = run_experiment(cfg, tmp_path / "run")
+    assert summary["arms"]["encoder_ce"]["pretrain"]["epochs"] == 3
+
+
+def test_two_names_for_one_arm_are_rejected():
+    with pytest.raises(ConfigError, match="arms: 'enc-ctc' names arm 'ctc' a second time"):
+        small_config(arms=("ctc", "enc-ctc"))
+    with pytest.raises(ConfigError, match="pretrain_epochs_by_arm: 'y2' names arm 'whole_y2'"):
+        small_config(pretrain_epochs_by_arm={"whole_y2": 1, "y2": 2})
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("batch_size", 0), ("train_epochs", -1), ("beam_width", 0),
+    ("max_symbols_per_frame", 0), ("pretrain_epochs", -1),
+    ("pretrain_epochs_by_arm", {"ctc": -1}),
+])
+def test_out_of_range_schedule_value_names_file_and_field(tmp_path, field_name, value):
+    payload = small_config().to_dict()
+    payload[field_name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_json(path)
+    assert str(path) in str(err.value) and field_name in str(err.value)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rnnt_lab import (Adam, Affine, LabelTensor, ShapeError,
+from rnnt_lab import (Adam, Affine, LabelTensor, NumericsError, ShapeError,
                       Tape, Tensor, TransducerModel, ctc_brute_force, ctc_loss,
                       frame_ce_loss, grad_check, lm_ce_loss, logsumexp,
                       masked_ce_3d, rnnt_brute_force, rnnt_lattice, rnnt_loss)
@@ -148,6 +148,18 @@ def test_rnnt_gradient_finite_differences():
 def test_rnnt_rejects_blank_in_targets():
     with pytest.raises(ShapeError):
         rnnt_loss(np.zeros((2, 2, 3)), [2], blank=2)
+
+
+def test_losses_reject_non_finite_logits():
+    rng = np.random.default_rng(8)
+    for bad in (math.nan, math.inf):
+        logits = random_logits(rng, 3, 1, 4)
+        logits[1, 0, 2] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericsError):
+                rnnt_loss(logits, [1], blank=3)
+            with pytest.raises(NumericsError):
+                ctc_loss(logits[:, 0], [1], blank=3)
 
 
 def test_rnnt_brute_force_single_path():

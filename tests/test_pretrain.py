@@ -5,7 +5,7 @@ from rnnt_lab import (FrameAlignment, ModelConfig, ShapeError, TableModel,
                       TransducerModel, build_y1, build_y2, build_y3,
                       greedy_decode, label_logits, stack_frames)
 from rnnt_lab import pretrain
-from rnnt_lab.harness import ExperimentConfig, gen_corpus
+from rnnt_lab.harness import ARM_INITIALIZERS, ExperimentConfig, gen_corpus
 from rnnt_lab.pretrain import LABEL_BUILDERS
 
 
@@ -259,18 +259,11 @@ def test_pretraining_preserves_shapes_and_vocab():
     train, _ = gen_corpus(cfg)
     base = TransducerModel(cfg.model, seed=cfg.seed)
     shapes = {k: v.shape for k, v in base.state_dict().items()}
-    for init in ("enc-ce", "ctc", "lm", "whole"):
+    for arm, init in ARM_INITIALIZERS.items():
         model = base.clone()
-        if init == "enc-ce":
-            pretrain.pretrain_encoder_ce(model, train, space_id=cfg.space_id, epochs=1)
-        elif init == "ctc":
-            pretrain.pretrain_encoder_ctc(model, train, epochs=1)
-        elif init == "lm":
-            pretrain.pretrain_prediction_lm(model, train, epochs=1)
-        else:
-            pretrain.pretrain_whole_network(model, train, "y1", space_id=cfg.space_id, epochs=1)
-        assert model.config == cfg.model
-        assert {k: v.shape for k, v in model.state_dict().items()} == shapes
+        init(model, train, cfg, 1)
+        assert model.config == cfg.model, arm
+        assert {k: v.shape for k, v in model.state_dict().items()} == shapes, arm
 
 
 def test_encoder_ce_touches_only_encoder():
