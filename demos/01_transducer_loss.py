@@ -23,13 +23,13 @@ print(f"difference      : {abs(out.value - brute):.2e}\n")
 
 lat = rnnt_lattice(logits, targets, blank=K)
 print("alpha (log forward mass):")
-print(np.round(lat.alpha.data, 3))
+print(np.round(lat.alpha, 3))
 print("beta (log backward mass):")
-print(np.round(lat.beta.data, 3))
+print(np.round(lat.beta, 3))
 
 print("\nEvery complete path crosses each anti-diagonal t+u=n exactly once,")
 print("so the diagonal log-sum of alpha+beta is the total log-likelihood:")
-cells = lat.alpha.data + lat.beta.data
+cells = lat.alpha + lat.beta
 for n in range(T + U):
     diag = [cells[t, n - t] for t in range(T) if 0 <= n - t <= U]
     print(f"  n={n}: {logsumexp(diag):+.9f}  (target {lat.log_likelihood():+.9f})")

@@ -3,8 +3,6 @@ utterance (alignment 'A A A B B s C C', transcript 'A B s C') and decode
 the decodable one to show it reproduces the transcript.
 """
 
-import numpy as np
-
 from rnnt_lab import (FrameAlignment, TableModel, build_y1, build_y2, build_y3,
                       greedy_decode, label_logits)
 
@@ -18,12 +16,12 @@ tokens = [A, B, SPACE, C]
 
 def render(name, lt):
     print(f"{name}: masked cells = {int(lt.mask.sum())}")
-    t_len, rows, _ = lt.targets.shape
+    t_len, rows = lt.targets.shape
     for u in range(rows - 1, -1, -1):  # token axis upward, like a lattice plot
         line = []
         for t in range(t_len):
             if lt.mask[t, u]:
-                line.append(NAMES[int(np.argmax(lt.targets.data[t, u]))])
+                line.append(NAMES[int(lt.targets[t, u])])
             else:
                 line.append(".")
         print(f"  u={u}  " + " ".join(line))

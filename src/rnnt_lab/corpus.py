@@ -68,7 +68,10 @@ def save_corpus(path, utterances: list[Utterance]) -> None:
 
 def check_utterance(utt: Utterance, model: ModelConfig) -> None:
     """ConfigError unless ``utt`` fits ``model``: finite (N, input_dim) features,
-    transcript and word-piece ids in [0, vocab_size)."""
+    transcript and word-piece ids in [0, vocab_size), word spans in order,
+    without overlap and within the ceil(N / stack_stride) encoder frames, and a
+    transcript that spells the words. A word with more pieces than frames
+    passes: pre-training drops it as a degenerate utterance."""
     feats = utt.features
     if feats.ndim != 2 or feats.shape[1] != model.input_dim:
         raise ConfigError(f"features have shape {feats.shape}, but the model's "
@@ -81,6 +84,20 @@ def check_utterance(utt: Utterance, model: ModelConfig) -> None:
             if not (isinstance(k, int) and 0 <= k < model.vocab_size):
                 raise ConfigError(f"{where}: token id {k!r} outside the model's "
                                   f"vocab_size {model.vocab_size}")
+    t_len = utt.encoder_frames(model.stack_stride)
+    prev_end = 0
+    for w in utt.words:
+        if w.start_frame < prev_end:
+            raise ConfigError(f"word '{w.word}' starts at frame {w.start_frame}, before "
+                              f"the previous word's end {prev_end}")
+        if w.end_frame > t_len:
+            raise ConfigError(f"word '{w.word}' ends at frame {w.end_frame}, past the "
+                              f"{t_len} encoder frames")
+        prev_end = w.end_frame
+    try:
+        piece_word_map(utt)
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_corpus(path, model: ModelConfig | None = None) -> list[Utterance]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -89,22 +89,17 @@ class ExperimentConfig:
                 raise ConfigError(f"pretrain_epochs_by_arm: {arm} must be >= 0, got {epochs}")
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "model"}
-        for key in ("words_per_utt", "pieces_per_word", "piece_frames",
-                    "gap_choices", "gap_weights", "arms"):
-            d[key] = list(d[key])
+        d = {k: list(v) if k in _TUPLE_FIELDS else v
+             for k, v in self.__dict__.items() if k != "model"}
         d["model"] = self.model.to_dict()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         reject_unknown_keys(cls, d)
-        d = dict(d)
+        d = {k: tuple(v) if k in _TUPLE_FIELDS and isinstance(v, list) else v
+             for k, v in d.items()}
         model = ModelConfig.from_dict(d.pop("model", {}))
-        for key in ("words_per_utt", "pieces_per_word", "piece_frames",
-                    "gap_choices", "gap_weights", "arms"):
-            if isinstance(d.get(key), list):
-                d[key] = tuple(d[key])
         return cls(model=model, **d)
 
     @classmethod
@@ -119,6 +114,10 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
+# JSON has no tuples: these fields are lists on disk (annotations are strings here)
+_TUPLE_FIELDS = frozenset(f.name for f in fields(ExperimentConfig) if f.type.startswith("tuple"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Training objectives: transducer marginal log-loss, CTC, frame-level CE,
-masked 3-D CE over label tensors, and next-token CE for the prediction
-network. Every loss returns its value, the exact analytic gradient w.r.t.
-the input logits, and a taped scalar node so gradients flow on into model
+"""Training objectives: transducer marginal log-loss, CTC, and three
+cross entropies against class ids (per frame, over the masked cells of a
+label tensor, next token) that share one body. Every loss returns its value,
+the exact analytic gradient w.r.t. the input logits, and a scalar node; for
+taped logits the node is on the tape, so gradients flow on into model
 parameters. The enumeration oracles stay deliberately independent of the
 dynamic programs they check.
 """
@@ -22,24 +23,33 @@ from .numerics import NEG_INF, Tensor
 @dataclass
 class LossOutput:
     value: float
-    grad_logits: Tensor
-    node: Tensor  # taped scalar; Tape.backward(node) pushes grads into the model
+    grad_logits: np.ndarray
+    node: Tensor  # scalar; for Tensor logits, Tape.backward(node) pushes grads into the model
 
 
 @dataclass
 class LogLattice:
     """Forward/backward log variables over the (T, U+1) decoding lattice."""
 
-    alpha: Tensor
-    beta: Tensor
-    log_probs: Tensor
+    alpha: np.ndarray
+    beta: np.ndarray
+    log_probs: np.ndarray
 
     def log_likelihood(self) -> float:
-        return float(self.beta.data[0, 0])
+        return float(self.beta[0, 0])
 
 
 def _as_array(logits) -> np.ndarray:
     return logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
+
+
+def _loss_output(name: str, logits, value: float, grad: np.ndarray) -> LossOutput:
+    """Package a loss; Tensor ``logits`` get a taped node that routes ``grad`` into them."""
+    if isinstance(logits, Tensor):
+        node = nm.record_scalar_loss(name, logits, value, grad)
+    else:
+        node = Tensor(np.array([value]))
+    return LossOutput(value=value, grad_logits=grad, node=node)
 
 
 def _check_targets(targets, blank: int, num_classes: int) -> list[int]:
@@ -96,16 +106,14 @@ def rnnt_lattice(logits, targets, blank: int) -> LogLattice:
     alpha = (a + d[:, :-1]).T
     beta = (b[:, ::-1] - d[:, :-1]).T
 
-    return LogLattice(alpha=Tensor(alpha), beta=Tensor(beta), log_probs=Tensor(lp))
+    return LogLattice(alpha=alpha, beta=beta, log_probs=lp)
 
 
 def rnnt_loss(logits, targets, blank: int) -> LossOutput:
     """Negative log marginal probability of the target sequence, with the
     exact gradient from forward/backward transition occupancies."""
     lattice = rnnt_lattice(logits, targets, blank)
-    lp = lattice.log_probs.data
-    alpha = lattice.alpha.data
-    beta = lattice.beta.data
+    lp, alpha, beta = lattice.log_probs, lattice.alpha, lattice.beta
     t_len, u_rows, _ = lp.shape
     u_len = u_rows - 1
     targets = [int(y) for y in targets]
@@ -130,13 +138,7 @@ def rnnt_loss(logits, targets, blank: int) -> LossOutput:
         grad_lp[:, cols, lab] -= occ_lab
 
     grad_z = grad_lp - np.exp(lp) * grad_lp.sum(axis=-1, keepdims=True)
-    value = -loglik
-    node = (
-        nm.record_scalar_loss("rnnt_loss", logits, value, grad_z)
-        if isinstance(logits, Tensor)
-        else Tensor(np.array([value]))
-    )
-    return LossOutput(value=value, grad_logits=Tensor(grad_z), node=node)
+    return _loss_output("rnnt_loss", logits, -loglik, grad_z)
 
 
 def rnnt_brute_force(logits, targets, blank: int, max_steps: int = 14) -> float:
@@ -234,14 +236,7 @@ def ctc_loss(logits, targets, blank: int) -> LossOutput:
     grad_lp = np.zeros_like(lp)
     np.subtract.at(grad_lp, (slice(None), ext), gamma)
     grad_z = grad_lp - np.exp(lp) * grad_lp.sum(axis=-1, keepdims=True)
-
-    value = -loglik
-    node = (
-        nm.record_scalar_loss("ctc_loss", logits, value, grad_z)
-        if isinstance(logits, Tensor)
-        else Tensor(np.array([value]))
-    )
-    return LossOutput(value=value, grad_logits=Tensor(grad_z), node=node)
+    return _loss_output("ctc_loss", logits, -loglik, grad_z)
 
 
 def ctc_brute_force(logits, targets, blank: int, max_paths: int = 200_000) -> float:
@@ -268,70 +263,55 @@ def ctc_brute_force(logits, targets, blank: int, max_paths: int = 200_000) -> fl
 # ---------------------------------------------------------------------------
 
 
+def _masked_ce(name: str, logits, mask: np.ndarray, ids: np.ndarray) -> LossOutput:
+    """Mean cross entropy of the cells in ``mask`` against their class ``ids``
+    (given in row-major cell order); cells outside the mask get zero gradient."""
+    num_classes = logits.shape[-1]
+    if ids.size == 0:
+        raise ShapeError(f"{name}: no target cells")
+    bad = (ids < 0) | (ids >= num_classes)
+    if bad.any():
+        raise ShapeError(f"{name}: target {ids[bad][0]} outside {num_classes} classes")
+    lp = nm.log_softmax_array(_as_array(logits))
+    cells = (*np.nonzero(mask), ids)
+    value = float(-lp[cells].mean())
+    grad = np.exp(lp)
+    grad[cells] -= 1.0
+    grad[~mask] = 0.0
+    grad /= ids.size
+    return _loss_output(name, logits, value, grad)
+
+
 def frame_ce_loss(enc_out: Tensor, fc, frame_targets) -> LossOutput:
     """Per-frame token classification on top of the encoder, averaged over frames."""
-    frame_targets = [int(k) for k in frame_targets]
-    if len(frame_targets) != enc_out.shape[0]:
-        raise ShapeError(
-            f"frame_ce: {enc_out.shape[0]} frames but {len(frame_targets)} targets")
-    logits = fc.apply(enc_out)
-    t_len, num_classes = logits.shape
-    for k in frame_targets:
-        if not (0 <= k < num_classes):
-            raise ShapeError(f"frame_ce: target {k} outside {num_classes} classes")
-    lp = nm.log_softmax_array(logits.data)
-    idx = np.arange(t_len)
-    tgt = np.array(frame_targets)
-    value = float(-lp[idx, tgt].mean())
-    grad = np.exp(lp)
-    grad[idx, tgt] -= 1.0
-    grad /= t_len
-    node = nm.record_scalar_loss("frame_ce_loss", logits, value, grad)
-    return LossOutput(value=value, grad_logits=Tensor(grad), node=node)
+    ids = np.asarray(frame_targets, dtype=np.int64)
+    if len(ids) != enc_out.shape[0]:
+        raise ShapeError(f"frame_ce_loss: {enc_out.shape[0]} frames but {len(ids)} targets")
+    return _masked_ce("frame_ce_loss", fc.apply(enc_out), np.ones(len(ids), dtype=bool), ids)
 
 
 def masked_ce_3d(logits: Tensor, label) -> LossOutput:
     """Mean cross entropy over the masked (gray) cells of a label tensor;
     unmasked cells get exactly zero gradient."""
-    targets = label.targets.data if isinstance(label.targets, Tensor) else np.asarray(label.targets)
+    targets = np.asarray(label.targets)
     mask = np.asarray(label.mask, dtype=bool)
-    if logits.shape != targets.shape:
-        raise ShapeError(f"masked_ce: logits {logits.shape} vs label tensor {targets.shape}")
-    if mask.shape != logits.shape[:2]:
-        raise ShapeError(f"masked_ce: mask {mask.shape} vs lattice {logits.shape[:2]}")
-    n_masked = int(mask.sum())
-    if n_masked == 0:
-        raise ShapeError("masked_ce: empty mask")
-    lp = nm.log_softmax_array(logits.data)
-    cell_ce = -(targets * lp).sum(axis=-1)
-    value = float(cell_ce[mask].sum() / n_masked)
-    grad = (np.exp(lp) - targets) * mask[:, :, None] / n_masked
-    node = nm.record_scalar_loss("masked_ce_3d", logits, value, grad)
-    return LossOutput(value=value, grad_logits=Tensor(grad), node=node)
+    if logits.shape != (*targets.shape, label.blank + 1):
+        raise ShapeError(f"masked_ce_3d: logits {logits.shape} vs label tensor "
+                         f"{targets.shape} with blank {label.blank}")
+    if mask.shape != targets.shape:
+        raise ShapeError(f"masked_ce_3d: mask {mask.shape} vs lattice {targets.shape}")
+    return _masked_ce("masked_ce_3d", logits, mask, targets[mask])
 
 
 def lm_ce_loss(pred_out: Tensor, fc, targets) -> LossOutput:
     """Next-token CE: row u predicts token u+1, averaged over the U real
     tokens. The final row's continuation is end-of-sequence, which has no
-    class in the vocabulary, so that row is excluded from the mean."""
-    targets = [int(y) for y in targets]
-    u_len = len(targets)
+    class in the vocabulary, so that row is masked out of the mean."""
+    ids = np.asarray(targets, dtype=np.int64)
+    u_len = len(ids)
     if u_len < 1:
-        raise ShapeError("lm_ce: need at least one target token")
+        raise ShapeError("lm_ce_loss: need at least one target token")
     if pred_out.shape[0] != u_len + 1:
-        raise ShapeError(f"lm_ce: {pred_out.shape[0]} rows but {u_len} targets need {u_len + 1}")
-    logits = fc.apply(pred_out)
-    num_classes = logits.shape[1]
-    for y in targets:
-        if not (0 <= y < num_classes):
-            raise ShapeError(f"lm_ce: target {y} outside {num_classes} classes")
-    lp = nm.log_softmax_array(logits.data)
-    idx = np.arange(u_len)
-    tgt = np.array(targets)
-    value = float(-lp[idx, tgt].mean())
-    grad = np.zeros_like(lp)
-    grad[:u_len] = np.exp(lp[:u_len])
-    grad[idx, tgt] -= 1.0
-    grad[:u_len] /= u_len
-    node = nm.record_scalar_loss("lm_ce_loss", logits, value, grad)
-    return LossOutput(value=value, grad_logits=Tensor(grad), node=node)
+        raise ShapeError(f"lm_ce_loss: {pred_out.shape[0]} rows but {u_len} targets "
+                         f"need {u_len + 1}")
+    return _masked_ce("lm_ce_loss", fc.apply(pred_out), np.arange(u_len + 1) < u_len, ids)

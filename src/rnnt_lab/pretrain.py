@@ -1,9 +1,11 @@
 """Whole-network label tensors and the pre-training schedules.
 
 Label tensor conventions (T frames, U tokens, rows R = U+1, K+1 classes):
+a label tensor holds one class id per lattice cell, plus the mask of cells
+its cross entropy uses; unmasked cells hold blank.
 
-* y1 ("all align"): every row 0..U-1 of frame t holds the one-hot of the
-  frame's alignment label; the last row is all blank. Every cell is masked.
+* y1 ("all align"): every row 0..U-1 of frame t holds the frame's alignment
+  label; the last row is all blank. Every cell is masked.
 * y2 ("correct decoding"): with u(t) the index of the token covering frame t,
   cell (t, u(t)) holds that token and cell (t, u(t)+1) holds blank. Exactly
   those 2T cells are masked. Decoding y2 directly emits each token once at
@@ -12,7 +14,7 @@ Label tensor conventions (T frames, U tokens, rows R = U+1, K+1 classes):
   token u(t)+1 = U lands in the terminal row that ends decoding.
 * y3 ("align path, short pauses to blank"): only the T token cells of y2 are
   kept, and every frame inside a short pause (space run of < 3 frames) has
-  its one-hot replaced by blank, same cell position.
+  its token replaced by blank, same cell position.
 
 The schedules train in place and report skipped degenerate utterances plus
 the per-epoch loss trace; checkpoints stay structurally identical to a fresh
@@ -28,24 +30,31 @@ import numpy as np
 from . import loss as losses
 from .alignment import FrameAlignment, collapse, short_pause_spans
 from .corpus import Utterance, corpus_hash
-from .errors import DegenerateUtterance, ShapeError
+from .errors import DegenerateUtterance, NumericsError, ShapeError
 from .model import Affine, TransducerModel, stack_frames
-from .numerics import Adam, Tape, Tensor
+from .numerics import Adam, Tape
 
 
 @dataclass
 class LabelTensor:
-    """One-hot targets over the (T, R) lattice plus the mask of cells used in CE."""
+    """Class ids over the (T, R) lattice, the mask of cells used in CE, and
+    the blank id, which is also the last of the K+1 classes."""
 
-    targets: Tensor  # (T, R, K+1)
+    targets: np.ndarray  # int (T, R)
     mask: np.ndarray  # bool (T, R)
+    blank: int
 
     def __post_init__(self):
-        if not self.mask.any():
+        ids, mask = self.targets, self.mask
+        if not (ids.ndim == 2 and np.issubdtype(ids.dtype, np.integer)
+                and mask.shape == ids.shape and mask.dtype == bool):
+            raise ShapeError(f"LabelTensor: need 2-D int targets and a bool mask of their shape, "
+                             f"got {ids.dtype} {ids.shape} and {mask.dtype} {mask.shape}")
+        if not mask.any():
             raise ShapeError("LabelTensor: at least one cell must be masked")
-        hot = self.targets.data[self.mask]
-        if not (np.isin(hot, (0.0, 1.0)).all() and (hot.sum(axis=-1) == 1.0).all()):
-            raise ShapeError("LabelTensor: masked cells must be one-hot rows")
+        if ids.min() < 0 or ids.max() > self.blank:
+            raise ShapeError(f"LabelTensor: class ids must lie in [0, {self.blank}], "
+                             f"got {ids.min()}..{ids.max()}")
 
 
 def token_frame_index(fa: FrameAlignment, tokens: list[int]) -> list[int]:
@@ -67,17 +76,10 @@ def token_frame_index(fa: FrameAlignment, tokens: list[int]) -> list[int]:
     return u_of_t
 
 
-def _one_hot(k: int, num_classes: int) -> np.ndarray:
-    row = np.zeros(num_classes)
-    row[k] = 1.0
-    return row
-
-
 def build_y1(fa: FrameAlignment, tokens, blank: int, space_id: int | None = None) -> LabelTensor:
     """All rows carry the frame's alignment label; the last row is all blank."""
     tokens = list(tokens)
     t_len = len(fa.labels)
-    num_classes = blank + 1
     if t_len < 1:
         raise ShapeError("build_y1: empty frame alignment")
     for label in fa.labels:
@@ -86,60 +88,50 @@ def build_y1(fa: FrameAlignment, tokens, blank: int, space_id: int | None = None
     if tokens and collapse(fa.labels) != tokens:
         raise ShapeError(
             f"build_y1: alignment collapses to {collapse(fa.labels)}, not {tokens}")
-    u_len = len(tokens)
-    targets = np.zeros((t_len, u_len + 1, num_classes))
-    for t, label in enumerate(fa.labels):
-        targets[t, :u_len] = _one_hot(label, num_classes)
-    targets[:, u_len] = _one_hot(blank, num_classes)
-    mask = np.ones((t_len, u_len + 1), dtype=bool)
-    return LabelTensor(targets=Tensor(targets), mask=mask)
+    targets = np.full((t_len, len(tokens) + 1), blank, dtype=np.int64)
+    targets[:, :-1] = np.asarray(fa.labels, dtype=np.int64)[:, None]
+    return LabelTensor(targets=targets, mask=np.ones(targets.shape, dtype=bool), blank=blank)
+
+
+def _token_cells(fa: FrameAlignment, tokens, blank: int):
+    """Each frame's token at (t, u(t)), blank everywhere else; returns the
+    ids and the (t, u(t)) cell coordinates."""
+    tokens = list(tokens)
+    u_of_t = np.asarray(token_frame_index(fa, tokens), dtype=np.int64)
+    t_of = np.arange(len(u_of_t))
+    targets = np.full((len(u_of_t), len(tokens) + 1), blank, dtype=np.int64)
+    targets[t_of, u_of_t] = np.asarray(tokens, dtype=np.int64)[u_of_t]
+    return targets, t_of, u_of_t
 
 
 def build_y2(fa: FrameAlignment, tokens, blank: int, space_id: int | None = None) -> LabelTensor:
     """Token at (t, u(t)), blank inserted directly above at (t, u(t)+1)."""
-    tokens = list(tokens)
-    u_of_t = token_frame_index(fa, tokens)
-    t_len = len(fa.labels)
-    num_classes = blank + 1
-    targets = np.zeros((t_len, len(tokens) + 1, num_classes))
-    mask = np.zeros((t_len, len(tokens) + 1), dtype=bool)
-    for t, u in enumerate(u_of_t):
-        targets[t, u] = _one_hot(tokens[u], num_classes)
-        targets[t, u + 1] = _one_hot(blank, num_classes)
-        mask[t, u] = mask[t, u + 1] = True
-    return LabelTensor(targets=Tensor(targets), mask=mask)
+    targets, t_of, u_of_t = _token_cells(fa, tokens, blank)
+    mask = np.zeros(targets.shape, dtype=bool)
+    mask[t_of, u_of_t] = mask[t_of, u_of_t + 1] = True
+    return LabelTensor(targets=targets, mask=mask, blank=blank)
 
 
 def build_y3(fa: FrameAlignment, tokens, blank: int, space_id: int | None = None) -> LabelTensor:
     """The token cells of y2 only, with short-pause frames relabeled blank in place."""
-    tokens = list(tokens)
-    u_of_t = token_frame_index(fa, tokens)
-    t_len = len(fa.labels)
-    num_classes = blank + 1
-    targets = np.zeros((t_len, len(tokens) + 1, num_classes))
-    mask = np.zeros((t_len, len(tokens) + 1), dtype=bool)
-    for t, u in enumerate(u_of_t):
-        targets[t, u] = _one_hot(tokens[u], num_classes)
-        mask[t, u] = True
+    targets, t_of, u_of_t = _token_cells(fa, tokens, blank)
+    mask = np.zeros(targets.shape, dtype=bool)
+    mask[t_of, u_of_t] = True
     if space_id is not None:
         for start, end in short_pause_spans(fa, space_id):
-            for t in range(start, end):
-                targets[t, u_of_t[t]] = _one_hot(blank, num_classes)
-    return LabelTensor(targets=Tensor(targets), mask=mask)
+            targets[t_of[start:end], u_of_t[start:end]] = blank
+    return LabelTensor(targets=targets, mask=mask, blank=blank)
 
 
 LABEL_BUILDERS = {"y1": build_y1, "y2": build_y2, "y3": build_y3}
 
 
 def label_logits(label: LabelTensor, low: float = -1e9) -> np.ndarray:
-    """Read a label tensor as decoder input: masked cells give their one-hot
-    as log-probability 0, unmasked cells force blank (the last class)."""
-    targets = label.targets.data
-    num_classes = targets.shape[-1]
-    out = np.full_like(targets, low)
-    out[label.mask] = np.where(targets[label.mask] > 0.0, 0.0, low)
-    unmasked = ~label.mask
-    out[unmasked, num_classes - 1] = 0.0
+    """Read a label tensor as decoder input: each masked cell gives its class
+    log-probability 0, each unmasked cell gives blank (the last class) 0."""
+    ids = np.where(label.mask, label.targets, label.blank)
+    out = np.full((*ids.shape, label.blank + 1), low)
+    np.put_along_axis(out, ids[..., None], 0.0, axis=-1)
     return out
 
 
@@ -179,7 +171,8 @@ def train_with_loss(params, items, loss_fn, *, epochs: int, lr: float = 1e-3,
     returns (value, node, weight); gradients are scaled by the batch's total
     weight, clipped by global norm, and stepped with Adam. The per-epoch
     entries are sum(value)/sum(weight) over the whole epoch.
-    ``on_epoch_end(epoch, loss)`` runs after each epoch when given."""
+    ``on_epoch_end(epoch, loss)`` runs after each epoch when given. A
+    non-finite gradient raises ``NumericsError`` naming the epoch and minibatch."""
     if not items:
         raise ShapeError("train_with_loss: empty item list")
     opt = Adam(params, lr=lr, clip_norm=grad_clip)
@@ -201,7 +194,11 @@ def train_with_loss(params, items, loss_fn, *, epochs: int, lr: float = 1e-3,
                 for p in params:
                     if p.grad is not None:
                         p.grad /= batch_weight
-            opt.step()
+            try:
+                opt.step()
+            except NumericsError as exc:
+                raise NumericsError(f"epoch {epoch + 1}, minibatch "
+                                    f"{start // batch_size + 1}: {exc}") from exc
         history.append(epoch_value / max(epoch_weight, 1e-300))
         if on_epoch_end is not None:
             on_epoch_end(epoch, history[-1])
@@ -298,17 +295,16 @@ def pretrain_whole_network(model: TransducerModel, corpus: list[Utterance], vari
     if variant not in LABEL_BUILDERS:
         raise ShapeError(f"unknown whole-network variant '{variant}'")
     cfg = model.config
-    items, skipped = _aligned_items(model, corpus, space_id)
-    params = model.parameters()
+    build = LABEL_BUILDERS[variant]
+    aligned, skipped = _aligned_items(model, corpus, space_id)
+    items = [(utt, stacked, build(fa, utt.transcript, cfg.blank_id, space_id))
+             for utt, stacked, fa in aligned]
 
     def loss_fn(item):
-        utt, stacked, fa = item
-        builder = LABEL_BUILDERS[variant]
-        label = builder(fa, utt.transcript, cfg.blank_id, space_id)
-        logits = model.forward(stacked, utt.transcript)
-        out = losses.masked_ce_3d(logits, label)
+        utt, stacked, label = item
+        out = losses.masked_ce_3d(model.forward(stacked, utt.transcript), label)
         return out.value, out.node, 1.0
 
-    history = train_with_loss(params, items, loss_fn, epochs=epochs, lr=lr,
+    history = train_with_loss(model.parameters(), items, loss_fn, epochs=epochs, lr=lr,
                               batch_size=batch_size, seed=seed)
     return PretrainReport(variant, epochs, corpus_hash(corpus), skipped, history)

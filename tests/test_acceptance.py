@@ -146,7 +146,7 @@ def test_criterion_3_alpha_beta_consistency():
             targets = [int(v) for v in rng.integers(0, k, size=u_len)]
             logits = 2.0 * rng.normal(size=(t_len, u_len + 1, k + 1))
             lat = rnnt_lattice(logits, targets, blank=k)
-            alpha, beta, lp = lat.alpha.data, lat.beta.data, lat.log_probs.data
+            alpha, beta, lp = lat.alpha, lat.beta, lat.log_probs
             loglik = lat.log_likelihood()
             value = rnnt_loss(logits, targets, blank=k).value
             assert abs(loglik + value) < 1e-8
@@ -179,7 +179,7 @@ def test_criterion_4_label_tensor_round_trip(worked_example):
 
         y3 = build_y3(worked_example["fa"], worked_example["tokens"], blank, space_id=worked_example["space"])
         assert int(y3.mask.sum()) == 8  # exactly T cells
-        path = np.argmax(y3.targets.data[y3.mask], axis=-1)
+        path = y3.targets[y3.mask]
         assert path.tolist() == [1, 1, 1, 2, 2, blank, 3, 3]  # 1-frame space -> blank
 
 

@@ -243,6 +243,11 @@ CORPUS_DEFECTS = {
                       "input_dim is 4"),
     "nan-feature": (lambda r: r["features"][1].__setitem__(0, float("nan")), "non-finite"),
     "text-feature": (lambda r: r["features"][1].__setitem__(0, "x"), "malformed utterance"),
+    # line 2 holds two words, [2, 3] over frames [0, 6) and [4] over [9, 12) of 12
+    "span-past-frames": (lambda r: r["words"][1].update(end=1000000),
+                         "ends at frame 1000000, past the 12 encoder frames"),
+    "span-overlap": (lambda r: r["words"][1].update(start=5), "before the previous word's end 6"),
+    "transcript-spelling": (lambda r: r["transcript"].reverse(), "does not spell word"),
 }
 
 
@@ -269,3 +274,19 @@ def test_corpus_that_does_not_fit_the_model_names_file_and_line(tmp_path, config
         err = capsys.readouterr().err
         assert f"{corpus}:2:" in err and message in err, (argv[0], err)
     assert not (tmp_path / "out.json").exists()
+
+
+def test_word_with_more_pieces_than_frames_loads_and_is_skipped(tmp_path, config_path):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    corpus = corpus_dir / "train.jsonl"
+    lines = corpus.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["words"][0]["end"] = 1  # two pieces, one frame: degenerate, not malformed
+    lines[1] = json.dumps(record)
+    corpus.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "enc_ce.json")
+    assert main(["pretrain", "--variant", "enc-ce", "--config", config_path,
+                 "--corpus", str(corpus), "--out", out]) == 0
+    manifest = json.loads((tmp_path / "enc_ce.json.manifest.json").read_text())
+    assert manifest["skipped_utterances"] == 1

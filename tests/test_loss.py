@@ -191,7 +191,7 @@ def test_alpha_beta_boundary_and_diagonal_identity():
         targets = [int(v) for v in rng.integers(0, k, size=u_len)]
         logits = random_logits(rng, t_len, u_len, k + 1)
         lat = rnnt_lattice(logits, targets, blank=k)
-        alpha, beta, lp = lat.alpha.data, lat.beta.data, lat.log_probs.data
+        alpha, beta, lp = lat.alpha, lat.beta, lat.log_probs
         assert alpha[0, 0] == 0.0
         loglik = lat.log_likelihood()
         # both sweeps agree on the total
@@ -219,8 +219,8 @@ def test_occupancy_mass_equals_emission_count():
         logits = Tensor(random_logits(rng, t_len, u_len, k + 1))
         lat = rnnt_lattice(logits, targets, blank=k)
         total = 0.0
-        lp = lat.log_probs.data
-        alpha, beta = lat.alpha.data, lat.beta.data
+        lp = lat.log_probs
+        alpha, beta = lat.alpha, lat.beta
         loglik = lat.log_likelihood()
         after_blank = np.full((t_len, u_len + 1), -np.inf)
         after_blank[: t_len - 1] = beta[1:]
@@ -243,8 +243,8 @@ def test_rnnt_row_scan_matches_scalar_oracle_long_lattice(scale):
     logits = random_logits(rng, t_len, u_len, k + 1, scale=scale)
     lat = rnnt_lattice(logits, targets, blank=k)
     alpha, beta = reference_rnnt_alpha_beta(logits, targets, k)
-    assert np.abs(lat.alpha.data - alpha).max() <= 1e-9
-    assert np.abs(lat.beta.data - beta).max() <= 1e-9
+    assert np.abs(lat.alpha - alpha).max() <= 1e-9
+    assert np.abs(lat.beta - beta).max() <= 1e-9
 
 
 @pytest.mark.parametrize("t_len,u_len", [(1, 0), (1, 4), (6, 0), (3, 10), (2, 2)])
@@ -255,8 +255,8 @@ def test_rnnt_row_scan_matches_scalar_oracle_edge_shapes(t_len, u_len):
     logits = random_logits(rng, t_len, u_len, k + 1, scale=3.0)
     lat = rnnt_lattice(logits, targets, blank=k)
     alpha, beta = reference_rnnt_alpha_beta(logits, targets, k)
-    assert np.abs(lat.alpha.data - alpha).max() <= 1e-9
-    assert np.abs(lat.beta.data - beta).max() <= 1e-9
+    assert np.abs(lat.alpha - alpha).max() <= 1e-9
+    assert np.abs(lat.beta - beta).max() <= 1e-9
     assert rnnt_loss(logits, targets, blank=k).value == pytest.approx(-beta[0, 0], abs=1e-9)
 
 
@@ -342,7 +342,7 @@ def test_ctc_vector_dp_matches_scalar_oracle(t_len, targets, scale):
     out = ctc_loss(logits, targets, blank=k)
     loglik, grad = reference_ctc(logits, targets, k)
     assert out.value == pytest.approx(-loglik, abs=1e-9)
-    assert np.abs(out.grad_logits.data - grad).max() <= 1e-9
+    assert np.abs(out.grad_logits - grad).max() <= 1e-9
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -425,9 +425,7 @@ def test_frame_ce_gradient_through_encoder(tiny_model):
 
 
 def test_masked_ce_single_cell_uniform():
-    targets = np.zeros((1, 1, 5))
-    targets[0, 0, 2] = 1.0
-    label = LabelTensor(targets=Tensor(targets), mask=np.ones((1, 1), dtype=bool))
+    label = LabelTensor(targets=np.array([[2]]), mask=np.ones((1, 1), dtype=bool), blank=4)
     out = masked_ce_3d(Tensor(np.zeros((1, 1, 5))), label)
     assert out.value == pytest.approx(math.log(5), abs=1e-12)
 
@@ -436,31 +434,28 @@ def test_masked_ce_full_mask_equals_plain_mean_ce():
     rng = np.random.default_rng(30)
     t_len, rows, k = 3, 2, 4
     logits = Tensor(rng.normal(size=(t_len, rows, k)))
-    hot = rng.integers(0, k, size=(t_len, rows))
-    targets = np.zeros((t_len, rows, k))
-    for t in range(t_len):
-        for u in range(rows):
-            targets[t, u, hot[t, u]] = 1.0
-    label = LabelTensor(targets=Tensor(targets), mask=np.ones((t_len, rows), dtype=bool))
+    ids = rng.integers(0, k, size=(t_len, rows))
+    label = LabelTensor(targets=ids, mask=np.ones((t_len, rows), dtype=bool), blank=k - 1)
     out = masked_ce_3d(logits, label)
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    plain = -(targets * lp).sum(axis=-1).mean()
+    # reference: explicit one-hot rows dotted with a separately computed log-softmax
+    one_hot = np.eye(k)[ids]
+    lp = reference_log_softmax(logits.data)
+    plain = -(one_hot * lp).sum(axis=-1).mean()
     assert out.value == pytest.approx(plain, abs=1e-12)
+    assert np.abs(out.grad_logits - (np.exp(lp) - one_hot) / (t_len * rows)).max() <= 1e-15
 
 
 def test_masked_ce_zero_gradient_outside_mask():
     rng = np.random.default_rng(31)
     logits = Tensor(rng.normal(size=(3, 3, 4)))
-    targets = np.zeros((3, 3, 4))
+    targets = np.full((3, 3), 3)
     mask = np.zeros((3, 3), dtype=bool)
-    targets[1, 2, 0] = 1.0
+    targets[1, 2] = 0
     mask[1, 2] = True
-    targets[0, 0, 3] = 1.0
     mask[0, 0] = True
-    label = LabelTensor(targets=Tensor(targets), mask=mask)
+    label = LabelTensor(targets=targets, mask=mask, blank=3)
     out = masked_ce_3d(logits, label)
-    grad = out.grad_logits.data
+    grad = out.grad_logits
     assert np.array_equal(grad[~mask], np.zeros_like(grad[~mask]))
     assert np.abs(grad[mask]).max() > 0
 
@@ -468,23 +463,49 @@ def test_masked_ce_zero_gradient_outside_mask():
 def test_masked_ce_rejects_empty_mask():
     # LabelTensor itself refuses an all-false mask, so feed a bare stand-in
     class Bare:
-        targets = Tensor(np.zeros((2, 2, 3)))
+        targets = np.zeros((2, 2), dtype=np.int64)
         mask = np.zeros((2, 2), dtype=bool)
+        blank = 2
 
     with pytest.raises(ShapeError):
         masked_ce_3d(Tensor(np.zeros((2, 2, 3))), Bare())
 
 
+def test_masked_ce_rejects_class_count_mismatch():
+    label = LabelTensor(targets=np.array([[1, 2]]), mask=np.ones((1, 2), dtype=bool), blank=2)
+    with pytest.raises(ShapeError, match="blank 2"):
+        masked_ce_3d(Tensor(np.zeros((1, 2, 4))), label)
+
+
+def test_label_tensor_rejects_out_of_range_id():
+    mask = np.ones((2, 2), dtype=bool)
+    with pytest.raises(ShapeError, match="class ids"):
+        LabelTensor(targets=np.array([[0, 4], [1, 5]]), mask=mask, blank=4)
+    with pytest.raises(ShapeError, match="class ids"):
+        LabelTensor(targets=np.array([[0, -1], [1, 4]]), mask=mask, blank=4)
+
+
+def test_label_tensor_rejects_bad_mask_or_targets():
+    ids = np.array([[0, 4], [1, 4]])
+    with pytest.raises(ShapeError, match="mask"):
+        LabelTensor(targets=ids, mask=np.ones((2, 3), dtype=bool), blank=4)
+    with pytest.raises(ShapeError, match="mask"):
+        LabelTensor(targets=ids, mask=np.ones((2, 2)), blank=4)
+    with pytest.raises(ShapeError, match="int"):
+        LabelTensor(targets=ids.astype(float), mask=np.ones((2, 2), dtype=bool), blank=4)
+    with pytest.raises(ShapeError, match="masked"):
+        LabelTensor(targets=ids, mask=np.zeros((2, 2), dtype=bool), blank=4)
+
+
 def test_masked_ce_gradient_finite_differences():
     rng = np.random.default_rng(32)
     logits = Tensor(rng.normal(size=(2, 3, 4)))
-    targets = np.zeros((2, 3, 4))
+    targets = np.full((2, 3), 3)
     mask = np.zeros((2, 3), dtype=bool)
-    targets[0, 1, 2] = 1.0
+    targets[0, 1] = 2
     mask[0, 1] = True
-    targets[1, 0, 3] = 1.0
     mask[1, 0] = True
-    label = LabelTensor(targets=Tensor(targets), mask=mask)
+    label = LabelTensor(targets=targets, mask=mask, blank=3)
 
     def f():
         with Tape() as tape:

@@ -217,9 +217,13 @@ def test_lstm_layer_matches_per_step_oracle_property(seed, t_len, d, hh, layer_n
         assert np.abs(p.grad - want_grad).max() <= 1e-12
 
 
-@pytest.mark.parametrize("op_name", ["add_row", "outer_add", "affine_last", "embed_prefix"])
+# a fixed seed per op, so a failing case replays exactly
+PRIMITIVE_SEEDS = {"add_row": 2201, "outer_add": 2202, "affine_last": 2203, "embed_prefix": 2204}
+
+
+@pytest.mark.parametrize("op_name", list(PRIMITIVE_SEEDS))
 def test_primitive_gradients_random_inputs(op_name):
-    rng = np.random.default_rng(hash(op_name) % 2**32)
+    rng = np.random.default_rng(PRIMITIVE_SEEDS[op_name])
     a = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     b = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     row = Tensor(rng.uniform(-1, 1, size=4))

@@ -4,8 +4,9 @@ import pytest
 from rnnt_lab import (FrameAlignment, ModelConfig, ShapeError, TableModel,
                       TransducerModel, build_y1, build_y2, build_y3,
                       greedy_decode, label_logits, stack_frames)
-from rnnt_lab import pretrain
+from rnnt_lab import NumericsError, Tensor, pretrain
 from rnnt_lab.harness import ARM_INITIALIZERS, ExperimentConfig, gen_corpus
+from rnnt_lab.numerics import record_scalar_loss
 from rnnt_lab.pretrain import LABEL_BUILDERS
 
 
@@ -26,19 +27,19 @@ def small_experiment_config(**overrides):
 
 def test_y1_worked_example(worked_example):
     lt = build_y1(worked_example["fa"], worked_example["tokens"], worked_example["blank"])
-    t_len, rows, classes = lt.targets.shape
-    assert (t_len, rows, classes) == (8, 5, 5)
+    assert lt.targets.shape == (8, 5)
+    assert lt.blank == worked_example["blank"]
     for u in range(4):
-        assert np.array_equal(np.argmax(lt.targets.data[:, u], axis=-1), worked_example["fa"].labels)
-    assert (np.argmax(lt.targets.data[:, 4], axis=-1) == worked_example["blank"]).all()
+        assert np.array_equal(lt.targets[:, u], worked_example["fa"].labels)
+    assert (lt.targets[:, 4] == worked_example["blank"]).all()
     assert lt.mask.all()  # 100% mask density
 
 
 def test_y1_empty_transcript_single_blank_row():
     fa = FrameAlignment(labels=[0, 0, 0])
     lt = build_y1(fa, [], blank=4)
-    assert lt.targets.shape == (3, 1, 5)
-    assert (np.argmax(lt.targets.data[:, 0], axis=-1) == 4).all()
+    assert lt.targets.shape == (3, 1)
+    assert (lt.targets[:, 0] == 4).all()
     assert lt.mask.all()
 
 
@@ -70,15 +71,15 @@ def test_y2_worked_example_decodes_to_printed_string(worked_example):
 def test_y2_mask_is_two_cells_per_frame_half_blank(worked_example):
     lt = build_y2(worked_example["fa"], worked_example["tokens"], worked_example["blank"])
     assert int(lt.mask.sum()) == 2 * 8
-    masked_classes = np.argmax(lt.targets.data[lt.mask], axis=-1)
+    masked_classes = lt.targets[lt.mask]
     assert int((masked_classes == worked_example["blank"]).sum()) == 8
 
 
 def test_y2_minimal_case():
     lt = build_y2(FrameAlignment(labels=[1]), [1], blank=4)
     assert lt.mask[0, 0] and lt.mask[0, 1]
-    assert np.argmax(lt.targets.data[0, 0]) == 1
-    assert np.argmax(lt.targets.data[0, 1]) == 4
+    assert lt.targets[0, 0] == 1
+    assert lt.targets[0, 1] == 4
 
 
 def test_y2_rejects_mismatched_tokens(worked_example):
@@ -89,7 +90,7 @@ def test_y2_rejects_mismatched_tokens(worked_example):
 def test_y3_worked_example(worked_example):
     lt = build_y3(worked_example["fa"], worked_example["tokens"], worked_example["blank"], space_id=worked_example["space"])
     assert int(lt.mask.sum()) == 8  # exactly T cells
-    path_classes = np.argmax(lt.targets.data[lt.mask], axis=-1)
+    path_classes = lt.targets[lt.mask]
     # the single-frame space (frame 5) is short, so it becomes blank in place
     assert path_classes.tolist() == [1, 1, 1, 2, 2, worked_example["blank"], 3, 3]
     assert lt.mask[5, 2]  # position unchanged: still the space token's row
@@ -100,16 +101,16 @@ def test_y3_without_short_pauses_equals_y2_nonblank_half():
     tokens = [1, 0, 2]
     y2 = build_y2(fa, tokens, blank=4)
     y3 = build_y3(fa, tokens, blank=4, space_id=0)
-    nonblank_cells = y2.mask & (np.argmax(y2.targets.data, axis=-1) != 4)
+    nonblank_cells = y2.mask & (y2.targets != 4)
     assert np.array_equal(y3.mask, nonblank_cells)
-    assert np.array_equal(y3.targets.data[y3.mask], y2.targets.data[nonblank_cells])
+    assert np.array_equal(y3.targets[y3.mask], y2.targets[nonblank_cells])
 
 
 def test_y3_two_frame_pause_both_frames_blank():
     fa = FrameAlignment(labels=[1, 0, 0, 2])
     lt = build_y3(fa, [1, 0, 2], blank=4, space_id=0)
-    assert np.argmax(lt.targets.data[1, 1]) == 4
-    assert np.argmax(lt.targets.data[2, 1]) == 4
+    assert lt.targets[1, 1] == 4
+    assert lt.targets[2, 1] == 4
     assert int(lt.mask.sum()) == 4
 
 
@@ -242,6 +243,38 @@ def test_variant_flag_selects_label_builder(monkeypatch):
     monkeypatch.setitem(LABEL_BUILDERS, "y3", spy)
     pretrain.pretrain_whole_network(model, train, "y3", space_id=cfg.space_id, epochs=1)
     assert len(calls) == len(train)
+
+
+def test_whole_network_builds_each_label_once(monkeypatch):
+    cfg = small_experiment_config(num_train=3)
+    train, _ = gen_corpus(cfg)
+    model = TransducerModel(cfg.model, seed=cfg.seed)
+    built = []
+    real = LABEL_BUILDERS["y2"]
+
+    def counting(fa, tokens, blank, space_id=None):
+        built.append(list(tokens))
+        return real(fa, tokens, blank, space_id)
+
+    monkeypatch.setitem(LABEL_BUILDERS, "y2", counting)
+    report = pretrain.pretrain_whole_network(model, train, "y2", space_id=cfg.space_id, epochs=2)
+    assert report.skipped == 0 and len(report.losses) == 2
+    assert sorted(built) == sorted(utt.transcript for utt in train)
+
+
+def test_non_finite_gradient_error_names_the_epoch():
+    param = Tensor(np.zeros(2))
+    calls = []
+
+    def loss_fn(item):
+        # one minibatch of two items per epoch: the third call is epoch 2's first
+        calls.append(item)
+        grad = np.full(2, np.nan) if len(calls) > 2 else np.ones(2)
+        return 1.0, record_scalar_loss("probe", param, 1.0, grad), 1.0
+
+    with pytest.raises(NumericsError, match=r"epoch 2, minibatch 1: Adam.step 2: non-finite"):
+        pretrain.train_with_loss([param], [0, 1], loss_fn, epochs=3, batch_size=2)
+    assert len(calls) == 4
 
 
 def test_all_variants_produce_finite_losses():
