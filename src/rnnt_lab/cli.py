@@ -35,7 +35,7 @@ def _cmd_gen_corpus(args) -> int:
 def _cmd_pretrain(args) -> int:
     cfg = _load_config(args.config)
     model = TransducerModel(cfg.model, seed=cfg.seed)
-    corpus = load_corpus(args.corpus, cfg.model)
+    corpus = load_corpus(args.corpus, cfg.model, cfg.space_id)
     arm = canonical_arm(args.variant)
     epochs = arm_pretrain_epochs(cfg, arm)
     manifest = ARM_INITIALIZERS[arm](model, corpus, cfg, epochs)
@@ -55,7 +55,7 @@ def _cmd_train(args) -> int:
         model = TransducerModel(cfg.model, seed=cfg.seed)
     else:
         model = load_checkpoint(args.init)
-    corpus = load_corpus(args.corpus, model.config)
+    corpus = load_corpus(args.corpus, model.config, cfg.space_id)
     losses = train_transducer(model, corpus, cfg)
     save_checkpoint(args.out, model, extra={"train_losses": losses})
     final = losses[-1] if losses else None

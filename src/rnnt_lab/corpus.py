@@ -3,6 +3,7 @@
 One utterance per line: {"id", "features", "words", "transcript"} with word
 spans expressed in encoder frames. Reading a file and writing it back is
 byte-identical (python float repr round-trips IEEE doubles exactly).
+``corpus_hash`` reads the features as bytes, not through that text.
 """
 
 from __future__ import annotations
@@ -32,14 +33,16 @@ class Utterance:
         return build_frame_alignment(self.words, self.encoder_frames(stride), space_id)
 
 
+def _words_record(words: list[WordSpan]) -> list[dict]:
+    return [{"word": w.word, "pieces": list(w.pieces), "start": w.start_frame, "end": w.end_frame}
+            for w in words]
+
+
 def utterance_to_json(utt: Utterance) -> str:
     record = {
         "id": utt.utt_id,
         "features": [[float(v) for v in row] for row in utt.features],
-        "words": [
-            {"word": w.word, "pieces": list(w.pieces), "start": w.start_frame, "end": w.end_frame}
-            for w in utt.words
-        ],
+        "words": _words_record(utt.words),
         "transcript": list(utt.transcript),
     }
     return json.dumps(record, separators=(",", ":"))
@@ -66,11 +69,12 @@ def save_corpus(path, utterances: list[Utterance]) -> None:
             fh.write("\n")
 
 
-def check_utterance(utt: Utterance, model: ModelConfig) -> None:
+def check_utterance(utt: Utterance, model: ModelConfig, space_id: int | None = None) -> None:
     """ConfigError unless ``utt`` fits ``model``: finite (N, input_dim) features,
     transcript and word-piece ids in [0, vocab_size), word spans in order,
     without overlap and within the ceil(N / stack_stride) encoder frames, and a
-    transcript that spells the words. A word with more pieces than frames
+    transcript that spells the words; with ``space_id``, every transcript token
+    outside the words is that space token. A word with more pieces than frames
     passes: pre-training drops it as a degenerate utterance."""
     feats = utt.features
     if feats.ndim != 2 or feats.shape[1] != model.input_dim:
@@ -95,13 +99,15 @@ def check_utterance(utt: Utterance, model: ModelConfig) -> None:
                               f"{t_len} encoder frames")
         prev_end = w.end_frame
     try:
-        piece_word_map(utt)
+        piece_word_map(utt, space_id)
     except ShapeError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def load_corpus(path, model: ModelConfig | None = None) -> list[Utterance]:
-    """Read a JSONL corpus; with ``model``, also check each utterance against it."""
+def load_corpus(path, model: ModelConfig | None = None,
+                space_id: int | None = None) -> list[Utterance]:
+    """Read a JSONL corpus; with ``model``, also check each utterance against
+    it (and its gap tokens against ``space_id``, when given)."""
     utterances = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -113,7 +119,7 @@ def load_corpus(path, model: ModelConfig | None = None) -> list[Utterance]:
                 raise ConfigError(f"{path}:{lineno}: malformed utterance ({exc!r})") from exc
             if model is not None:
                 try:
-                    check_utterance(utt, model)
+                    check_utterance(utt, model, space_id)
                 except ConfigError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             utterances.append(utt)
@@ -121,29 +127,49 @@ def load_corpus(path, model: ModelConfig | None = None) -> list[Utterance]:
 
 
 def corpus_hash(utterances: list[Utterance]) -> str:
+    """First 16 hex digits of a sha256 over the utterances in order. Each
+    contributes its id, words (spans and pieces), transcript and feature shape
+    as one compact JSON line, then its features as C-order little-endian
+    float64 bytes; the shape fixes how many bytes follow the line."""
     digest = hashlib.sha256()
     for utt in utterances:
-        digest.update(utterance_to_json(utt).encode())
+        feats = np.ascontiguousarray(utt.features, dtype="<f8")
+        header = {"id": utt.utt_id, "shape": list(feats.shape),
+                  "words": _words_record(utt.words), "transcript": list(utt.transcript)}
+        digest.update(json.dumps(header, separators=(",", ":")).encode())
         digest.update(b"\n")
+        digest.update(feats.tobytes())
     return digest.hexdigest()[:16]
 
 
-def piece_word_map(utt: Utterance) -> list[int | None]:
+def piece_word_map(utt: Utterance, space_id: int | None = None) -> list[int | None]:
     """For each transcript position, the index of the word it belongs to
     (None for space tokens). Requires the transcript to spell the words in
-    order, which generated corpora guarantee."""
+    order, which generated corpora guarantee; with ``space_id``, also that
+    every token outside the words is the space token."""
+    transcript = utt.transcript
     mapping: list[int | None] = []
     pos = 0
     for w_idx, span in enumerate(utt.words):
         word_tokens = collapse(span.pieces)
         # gaps collapse to a single space token, so at most one sits between words
-        if pos < len(utt.transcript) and utt.transcript[pos] != word_tokens[0]:
-            mapping.append(None)
-            pos += 1
-        if utt.transcript[pos : pos + len(word_tokens)] != word_tokens:
+        gap = int(pos < len(transcript) and transcript[pos] != word_tokens[0])
+        if transcript[pos + gap : pos + gap + len(word_tokens)] != word_tokens:
             raise ShapeError(f"utterance {utt.utt_id}: transcript does not spell word "
-                             f"'{span.word}' at position {pos}")
+                             f"'{span.word}' at position {pos + gap}")
+        if gap:
+            _check_space(utt, pos, space_id)
+            mapping.append(None)
         mapping.extend([w_idx] * len(word_tokens))
-        pos += len(word_tokens)
-    mapping.extend([None] * (len(utt.transcript) - pos))
+        pos += gap + len(word_tokens)
+    for rest in range(pos, len(transcript)):
+        _check_space(utt, rest, space_id)
+        mapping.append(None)
     return mapping
+
+
+def _check_space(utt: Utterance, pos: int, space_id: int | None) -> None:
+    if space_id is not None and utt.transcript[pos] != space_id:
+        raise ShapeError(f"utterance {utt.utt_id}: transcript token {utt.transcript[pos]} at "
+                         f"position {pos} lies outside every word but is not the space token "
+                         f"{space_id}")

@@ -124,12 +124,10 @@ def stack_frames(features, stack: int, stride: int) -> Tensor:
         raise ShapeError(f"stack_frames: stack and stride must be >= 1, got {stack}, {stride}")
     n, d = data.shape
     t_out = -(-n // stride)
-    out = np.zeros((t_out, d * stack))
-    for t in range(t_out):
-        lo = t * stride
-        hi = min(lo + stack, n)
-        out[t, : (hi - lo) * d] = data[lo:hi].reshape(-1)
-    return Tensor(out)
+    padded = np.zeros((max(n, (t_out - 1) * stride + stack), d))
+    padded[:n] = data
+    rows = np.arange(0, t_out * stride, stride)[:, None] + np.arange(stack)
+    return Tensor(padded[rows].reshape(t_out, stack * d))
 
 
 class Affine:
@@ -168,8 +166,9 @@ class LstmStack:
     """Unidirectional stacked LSTM; output at t depends only on inputs <= t.
 
     Training and decoding share one cell (``numerics.lstm_cell``): ``forward``
-    runs each layer as one taped ``lstm_layer`` record, ``step`` advances the
-    untaped per-layer (n, H) states by one input row each.
+    runs each layer as one ``lstm_layer`` (a taped record for a (T, D)
+    sequence; untaped, also a time-major (T, B, D) batch), ``step`` advances
+    the untaped per-layer (n, H) states by one input row each.
     """
 
     def __init__(self, in_dim: int, hidden: int, num_layers: int,
@@ -318,9 +317,13 @@ class TransducerModel:
     # -- inference-only stepping (plain numpy, no tape) -------------------------
 
     def encode_frames(self, features) -> np.ndarray:
+        """Untaped encoder pass over stacked frames, (T, D) -> (T, H), or over a
+        time-major batch of right-padded sequences, (T, B, D) -> (T, B, H);
+        rows before a sequence's length match its unbatched pass."""
         data = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ShapeError(f"encode_frames: need a nonempty (T, D) input, got shape {data.shape}")
+        if data.ndim not in (2, 3) or 0 in data.shape[:-1]:
+            raise ShapeError(f"encode_frames: need a nonempty (T, D) or (T, B, D) input, "
+                             f"got shape {data.shape}")
         return self.encoder.forward(Tensor(data)).data
 
     def prediction_start(self):

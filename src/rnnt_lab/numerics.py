@@ -267,41 +267,48 @@ def lstm_cell(z: np.ndarray, c: np.ndarray, c_out: np.ndarray | None = None,
 
 def lstm_layer(x: Tensor, w: Tensor, r: Tensor, b: Tensor,
                ln_gain: Tensor | None = None, ln_bias: Tensor | None = None) -> Tensor:
-    """A whole LSTM layer over a (T, D) sequence from zero state: (T, H) hidden rows.
+    """A whole LSTM layer from zero state over a (T, D) sequence, (T, H) hidden
+    rows out, or untaped over a time-major (T, B, D) batch, (T, B, H) out.
 
     Forward is one input GEMM x @ w + b for all frames, then ``lstm_cell``
     per step, writing the gates and states into buffers allocated once.
     Taped, it writes one record whose backward is analytic BPTT over those
     buffers; untaped, nothing is kept for backward. An input that no record
     produced and that holds no grad buffer is data (the features into the
-    first encoder layer): backward computes no gradient for it.
+    first encoder layer): backward computes no gradient for it. The layer is
+    causal and starts from zero state, so a batch of right-padded sequences
+    needs no mask: rows before a sequence's length never see its padding.
     """
-    if x.data.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"lstm_layer: need a nonempty (T, D) input, got shape {x.shape}")
+    if x.data.ndim not in (2, 3) or 0 in x.shape[:-1]:
+        raise ShapeError(f"lstm_layer: need a nonempty (T, D) or (T, B, D) input, "
+                         f"got shape {x.shape}")
     hh = r.shape[0]
-    if w.shape != (x.shape[1], 4 * hh) or r.shape != (hh, 4 * hh) or b.shape != (4 * hh,):
+    if w.shape != (x.shape[-1], 4 * hh) or r.shape != (hh, 4 * hh) or b.shape != (4 * hh,):
         raise ShapeError(f"lstm_layer: shapes x {x.shape}, w {w.shape}, r {r.shape}, "
                          f"b {b.shape} incompatible")
     if (ln_gain is None) != (ln_bias is None) or (
             ln_gain is not None and (ln_gain.shape != (4 * hh,) or ln_bias.shape != (4 * hh,))):
         raise ShapeError(f"lstm_layer: layer norm needs gain and bias of shape ({4 * hh},)")
     tape = active_tape()
-    t_len = x.shape[0]
+    if tape is not None and x.data.ndim == 3:
+        raise ShapeError(f"lstm_layer: a (T, B, D) batch runs untaped only, got shape "
+                         f"{x.shape} under a tape")
+    t_len, *batch, d_in = x.shape
     scale = lstm_gate_scale(hh)
-    # (T, 4H) pre-activations from the input side; each step adds h @ R to
-    # its row, which the cell then overwrites with the gate activations
-    a = x.data @ w.data
+    # (T, ..., 4H) pre-activations from the input side; each step adds h @ R
+    # to its rows, which the cell then overwrites with the gate activations
+    a = (x.data.reshape(-1, d_in) @ w.data).reshape(t_len, *batch, 4 * hh)
     a += b.data
     if ln_gain is None:
         a *= scale
         r_step, ln = r.data * scale, None
     else:
         r_step, ln = r.data, (ln_gain.data * scale, ln_bias.data * scale)
-        xhat = np.empty((t_len, 4 * hh))
-        inv = np.empty((t_len, 1))
-    hs = np.zeros((t_len + 1, hh))  # row t is the state before step t; row 0 is zero
-    cs = np.zeros((t_len + 1, hh))
-    tcs = np.empty((t_len, hh))
+        xhat = np.empty(a.shape)
+        inv = np.empty((*a.shape[:-1], 1))
+    hs = np.zeros((t_len + 1, *batch, hh))  # row t is the state before step t; row 0 is zero
+    cs = np.zeros((t_len + 1, *batch, hh))
+    tcs = np.empty((t_len, *batch, hh))
     for t, (z, h, c, c_new, tc, h_new) in enumerate(
             zip(a, hs[:-1], cs[:-1], cs[1:], tcs, hs[1:])):
         z += h @ r_step

@@ -32,7 +32,7 @@ from .alignment import FrameAlignment, collapse, short_pause_spans
 from .corpus import Utterance, corpus_hash
 from .errors import DegenerateUtterance, NumericsError, ShapeError
 from .model import Affine, TransducerModel, stack_frames
-from .numerics import Adam, Tape
+from .numerics import Adam, Tape, Tensor
 
 
 @dataclass
@@ -238,14 +238,28 @@ def pretrain_encoder_ce(model: TransducerModel, corpus: list[Utterance], *, spac
 
     history = train_with_loss(params, items, loss_fn, epochs=epochs, lr=lr,
                               batch_size=batch_size, seed=seed)
-    hits = total = 0
-    for _, stacked, fa in items:
-        pred = np.argmax(fc.apply(model.encode(stacked)).data, axis=-1)
-        hits += int((pred == np.array(fa.labels)).sum())
-        total += len(fa.labels)
-    accuracy = hits / total if total else None
     return PretrainReport("enc-ce", epochs, corpus_hash(corpus), skipped, history,
-                          extras={"frame_accuracy": accuracy})
+                          extras={"frame_accuracy": _frame_accuracy(model, fc, items,
+                                                                    batch_size)})
+
+
+def _frame_accuracy(model: TransducerModel, fc: Affine, items, batch_size: int) -> float:
+    """Share of frames whose argmax class is the alignment label. Each chunk
+    of ``batch_size`` items is right-padded into one time-major batch and
+    encoded once, untaped; a chunk, not the whole corpus, bounds the padded
+    batch's memory."""
+    hits = total = 0
+    for start in range(0, len(items), batch_size):
+        chunk = items[start : start + batch_size]
+        batch = np.zeros((max(stacked.shape[0] for _, stacked, _ in chunk), len(chunk),
+                          model.config.encoder_input_dim))
+        for col, (_, stacked, _) in enumerate(chunk):
+            batch[: stacked.shape[0], col] = stacked.data
+        pred = np.argmax(fc.apply(Tensor(model.encode_frames(batch))).data, axis=-1)
+        for col, (_, _, fa) in enumerate(chunk):
+            hits += int((pred[: len(fa.labels), col] == fa.labels).sum())
+            total += len(fa.labels)
+    return hits / total
 
 
 def pretrain_encoder_ctc(model: TransducerModel, corpus: list[Utterance], *,

@@ -290,3 +290,28 @@ def test_word_with_more_pieces_than_frames_loads_and_is_skipped(tmp_path, config
                  "--corpus", str(corpus), "--out", out]) == 0
     manifest = json.loads((tmp_path / "enc_ce.json.manifest.json").read_text())
     assert manifest["skipped_utterances"] == 1
+
+
+def test_gap_token_other_than_space_names_file_and_line(tmp_path, config_path, capsys):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    corpus = corpus_dir / "train.jsonl"
+    lines = corpus.read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["transcript"] == [2, 3, 0, 4]
+    record["transcript"] = [2, 3, 1, 4]  # the gap between the words is token 1, not space 0
+    lines[1] = json.dumps(record)
+    corpus.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "out.json")
+    for argv in (["pretrain", "--variant", "y2"], ["train"]):
+        assert main(argv + ["--config", config_path, "--corpus", str(corpus),
+                            "--out", out]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"{corpus}:2:" in err and "not the space token 0" in err, (argv[0], err)
+    assert not (tmp_path / "out.json").exists()
+    # decode has no config, so no space id: it keeps the spelling checks only
+    cfg = ExperimentConfig.from_json(config_path)
+    ckpt = str(tmp_path / "model.json")
+    save_checkpoint(ckpt, TransducerModel(cfg.model, seed=cfg.seed))
+    assert main(["decode", "--checkpoint", ckpt, "--corpus", str(corpus),
+                 "--beam", "2", "--out", str(tmp_path / "nbest.jsonl")]) == 0

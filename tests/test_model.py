@@ -117,6 +117,27 @@ def test_stack_frames_tail_zero_padded():
     assert np.array_equal(out.data[2, 2:], np.zeros(14))
 
 
+def reference_stack_frames(data, stack, stride):
+    """Per-frame loop oracle: frame t copies raw rows [t*stride, t*stride + stack)."""
+    n, d = data.shape
+    t_out = -(-n // stride)
+    out = np.zeros((t_out, d * stack))
+    for t in range(t_out):
+        lo = t * stride
+        hi = min(lo + stack, n)
+        out[t, : (hi - lo) * d] = data[lo:hi].reshape(-1)
+    return out
+
+
+@pytest.mark.parametrize("stack, stride", [(4, 2), (1, 1), (2, 3), (5, 1), (3, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 62, 63, 118])
+def test_stack_frames_byte_identical_to_loop_oracle(n, stack, stride):
+    x = np.random.default_rng(n * 100 + stack * 10 + stride).normal(size=(n, 3))
+    out = stack_frames(x, stack=stack, stride=stride).data
+    want = reference_stack_frames(x, stack, stride)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+
 def test_stack_frames_rejects_empty():
     with pytest.raises(ShapeError):
         stack_frames(np.zeros((0, 2)), stack=2, stride=1)
@@ -208,6 +229,33 @@ def test_inference_encoder_matches_taped_encode(tiny_model):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(5, 6))
     assert np.allclose(tiny_model.encode_frames(x), tiny_model.encode(Tensor(x)).data, atol=1e-12)
+
+
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_encode_frames_batch_matches_per_utterance(layer_norm):
+    cfg = ModelConfig(input_dim=3, stack_factor=2, stack_stride=1, encoder_layers=2,
+                      prediction_layers=1, hidden=5, projection=4, vocab_size=4,
+                      use_layer_norm=layer_norm)
+    model = TransducerModel(cfg, seed=13)
+    rng = np.random.default_rng(14)
+    for _, p in model.encoder.named_parameters("encoder"):
+        p.data += rng.uniform(-0.3, 0.3, size=p.shape)  # nonzero biases and norm shifts
+    lengths = [4, 1, 6]
+    seqs = [rng.normal(size=(n, cfg.encoder_input_dim)) for n in lengths]
+    batch = np.zeros((max(lengths), len(seqs), cfg.encoder_input_dim))
+    for col, seq in enumerate(seqs):
+        batch[: len(seq), col] = seq
+    out = model.encode_frames(batch)
+    assert out.shape == (max(lengths), len(seqs), cfg.hidden)
+    for col, seq in enumerate(seqs):
+        assert np.abs(out[: len(seq), col] - model.encode_frames(seq)).max() <= 1e-12
+        assert np.abs(out[: len(seq), col] - model.encode(Tensor(seq)).data).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(0, 6), (0, 2, 6), (3, 0, 6), (6,), (1, 1, 1, 6)])
+def test_encode_frames_rejects_empty_or_wrong_rank(tiny_model, shape):
+    with pytest.raises(ShapeError, match="encode_frames"):
+        tiny_model.encode_frames(np.zeros(shape))
 
 
 def test_checkpoint_roundtrip_bit_exact(tiny_model, tmp_path):

@@ -217,6 +217,31 @@ def test_lstm_layer_matches_per_step_oracle_property(seed, t_len, d, hh, layer_n
         assert np.abs(p.grad - want_grad).max() <= 1e-12
 
 
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_untaped_batch_matches_per_sequence_calls(layer_norm):
+    rng = np.random.default_rng(43)
+    lengths = [5, 1, 7, 3]
+    params = lstm_inputs(rng, 1, layer_norm, d=5, hh=6)[1:]
+    seqs = [rng.uniform(-1, 1, size=(n, 5)) for n in lengths]
+    # padding frames hold noise, not zeros: no row before a length may see them
+    batch = rng.uniform(-1, 1, size=(max(lengths), len(seqs), 5))
+    for col, seq in enumerate(seqs):
+        batch[: len(seq), col] = seq
+    out = nm.lstm_layer(Tensor(batch), *params).data
+    assert out.shape == (max(lengths), len(seqs), 6)
+    for col, seq in enumerate(seqs):
+        want = nm.lstm_layer(Tensor(seq), *params).data
+        assert np.abs(out[: len(seq), col] - want).max() <= 1e-12
+
+
+def test_taped_batch_raises():
+    rng = np.random.default_rng(44)
+    x, *params = lstm_inputs(rng, 4, layer_norm=False)
+    with Tape() as tape, pytest.raises(ShapeError, match="untaped only"):
+        nm.lstm_layer(Tensor(x.data.reshape(2, 2, 3)), *params)
+    assert tape.records == []
+
+
 # a fixed seed per op, so a failing case replays exactly
 PRIMITIVE_SEEDS = {"add_row": 2201, "outer_add": 2202, "affine_last": 2203, "embed_prefix": 2204}
 

@@ -308,3 +308,30 @@ def test_encoder_ce_touches_only_encoder():
     after = model.state_dict()
     changed = {k for k in before if not np.array_equal(before[k], after[k])}
     assert changed and all(k.startswith("encoder.") for k in changed)
+
+
+def test_encoder_ce_frame_accuracy_matches_per_utterance_recomputation(monkeypatch):
+    cfg = small_experiment_config(num_train=11)
+    train, _ = gen_corpus(cfg)
+    heads = []
+
+    class CapturedAffine(pretrain.Affine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            heads.append(self)
+
+    monkeypatch.setattr(pretrain, "Affine", CapturedAffine)
+    model = TransducerModel(cfg.model, seed=cfg.seed)
+    report = pretrain.pretrain_encoder_ce(model, train, space_id=cfg.space_id, epochs=4,
+                                          lr=1e-2, batch_size=4, seed=cfg.seed)
+    (fc,) = heads
+    mc = cfg.model
+    hits = total = 0
+    for utt in train:  # 11 items: chunks of 4, 4 and 3
+        labels = utt.frame_alignment(mc.stack_stride, cfg.space_id).labels
+        stacked = stack_frames(utt.features, mc.stack_factor, mc.stack_stride)
+        pred = np.argmax(fc.apply(model.encode(stacked)).data, axis=-1)
+        hits += int((pred == np.array(labels)).sum())
+        total += len(labels)
+    assert report.skipped == 0 and 0 < hits < total
+    assert report.extras["frame_accuracy"] == hits / total
