@@ -147,29 +147,24 @@ def piece_word_map(utt: Utterance, space_id: int | None = None) -> list[int | No
     (None for space tokens). Requires the transcript to spell the words in
     order, which generated corpora guarantee; with ``space_id``, also that
     every token outside the words is the space token."""
-    transcript = utt.transcript
     mapping: list[int | None] = []
     pos = 0
     for w_idx, span in enumerate(utt.words):
         word_tokens = collapse(span.pieces)
         # gaps collapse to a single space token, so at most one sits between words
-        gap = int(pos < len(transcript) and transcript[pos] != word_tokens[0])
-        if transcript[pos + gap : pos + gap + len(word_tokens)] != word_tokens:
-            raise ShapeError(f"utterance {utt.utt_id}: transcript does not spell word "
-                             f"'{span.word}' at position {pos + gap}")
-        if gap:
-            _check_space(utt, pos, space_id)
+        if pos < len(utt.transcript) and utt.transcript[pos] != word_tokens[0]:
             mapping.append(None)
+            pos += 1
+        if utt.transcript[pos : pos + len(word_tokens)] != word_tokens:
+            raise ShapeError(f"utterance {utt.utt_id}: transcript does not spell word "
+                             f"'{span.word}' at position {pos}")
         mapping.extend([w_idx] * len(word_tokens))
-        pos += gap + len(word_tokens)
-    for rest in range(pos, len(transcript)):
-        _check_space(utt, rest, space_id)
-        mapping.append(None)
+        pos += len(word_tokens)
+    mapping.extend([None] * (len(utt.transcript) - pos))
+    if space_id is not None:
+        for pos, (token, w_idx) in enumerate(zip(utt.transcript, mapping)):
+            if w_idx is None and token != space_id:
+                raise ShapeError(f"utterance {utt.utt_id}: transcript token {token} at position "
+                                 f"{pos} lies outside every word but is not the space token "
+                                 f"{space_id}")
     return mapping
-
-
-def _check_space(utt: Utterance, pos: int, space_id: int | None) -> None:
-    if space_id is not None and utt.transcript[pos] != space_id:
-        raise ShapeError(f"utterance {utt.utt_id}: transcript token {utt.transcript[pos]} at "
-                         f"position {pos} lies outside every word but is not the space token "
-                         f"{space_id}")
