@@ -7,18 +7,28 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import load_corpus, piece_word_map, save_corpus
-from .decoding import (DelayStats, Hypothesis, beam_decode, measure_delay, read_nbest,
-                       write_delay_csv, write_nbest)
+from .corpus import load_corpus, save_corpus
+from .decoding import write_delay_csv, write_nbest
 from .errors import ConfigError, LabError
 from .harness import (ARM_INITIALIZERS, PRETRAIN_VARIANTS, ExperimentConfig,
-                      arm_pretrain_epochs, canonical_arm, gen_corpus, run_experiment,
-                      train_transducer)
-from .model import TransducerModel, load_checkpoint, save_checkpoint, stack_frames
+                      arm_pretrain_epochs, canonical_arm, evaluate_model, gen_corpus,
+                      run_experiment, train_transducer)
+from .model import TransducerModel, load_checkpoint, save_checkpoint
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
     return ExperimentConfig.from_json(path) if path else ExperimentConfig()
+
+
+def _check_out(path: str) -> None:
+    """Refuse an output path that is a directory before any work is done."""
+    if Path(path).is_dir():
+        raise ConfigError(f"--out {path} is a directory, not a file path")
+
+
+def _score_line(token_error: float, mean_delay: float | None) -> str:
+    delay_txt = "n/a" if mean_delay is None else f"{mean_delay:.2f}"
+    return f"token error {token_error:.4f}, mean delay {delay_txt}"
 
 
 def _cmd_gen_corpus(args) -> int:
@@ -33,6 +43,7 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
+    _check_out(args.out)
     cfg = _load_config(args.config)
     model = TransducerModel(cfg.model, seed=cfg.seed)
     corpus = load_corpus(args.corpus, cfg.model, cfg.space_id)
@@ -50,6 +61,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_out(args.out)
     cfg = _load_config(args.config)
     if args.init == "random":
         model = TransducerModel(cfg.model, seed=cfg.seed)
@@ -64,38 +76,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    _check_out(args.out)
+    cfg = _load_config(args.config)
     model = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus, model.config)
-    entries = []
-    for utt in corpus:
-        stacked = stack_frames(utt.features, model.config.stack_factor,
-                               model.config.stack_stride)
-        _, nbest = beam_decode(model, stacked, beam_width=args.beam)
-        entries.append((utt.utt_id, nbest))
-    write_nbest(args.out, entries)
-    print(f"decoded {len(corpus)} utterances with beam {args.beam} -> {args.out}")
-    return 0
-
-
-def _cmd_delay_stats(args) -> int:
-    corpus = {utt.utt_id: utt for utt in load_corpus(args.corpus)}
-    best_lines: dict[str, dict] = {}
-    for line in read_nbest(args.nbest):
-        prev = best_lines.get(line["utt_id"])
-        if prev is None or line["log_prob"] > prev["log_prob"]:
-            best_lines[line["utt_id"]] = line
-    stats = DelayStats()
-    for utt_id, line in best_lines.items():
-        utt = corpus.get(utt_id)
-        if utt is None:
-            raise ConfigError(f"{args.nbest}: utterance '{utt_id}' is not in corpus {args.corpus}")
-        hyp = Hypothesis(prefix=line["hyp_tokens"], log_prob=line["log_prob"],
-                         emit_frames=line["emit_frames"])
-        stats = stats.merge(measure_delay(hyp, utt.words, piece_word_map(utt),
-                                          utt.transcript))
-    write_delay_csv(args.out, stats)
-    print(f"delay over {len(stats.delays)} words "
-          f"({stats.skipped} utterances skipped) -> {args.out}")
+    corpus = load_corpus(args.corpus, model.config, cfg.space_id)
+    token_error, delay, nbest_entries = evaluate_model(model, corpus, cfg)
+    write_nbest(args.out, nbest_entries)
+    write_delay_csv(args.out + ".delay.csv", delay)
+    print(_score_line(token_error, delay.mean()))
     return 0
 
 
@@ -106,10 +94,7 @@ def _cmd_experiment(args) -> int:
         if "error" in info:
             print(f"{arm}: FAILED ({info['error']})")
         else:
-            delay = info["mean_delay"]
-            delay_txt = "n/a" if delay is None else f"{delay:.2f}"
-            print(f"{arm}: token error {info['token_error_rate']:.4f}, "
-                  f"mean delay {delay_txt}")
+            print(f"{arm}: {_score_line(info['token_error_rate'], info['mean_delay'])}")
     return 0
 
 
@@ -138,18 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("decode", help="beam-decode a corpus")
+    p = sub.add_parser("decode", help="score a corpus as the experiment scores an arm")
+    p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--out", required=True, help="n-best JSONL path")
+    p.add_argument("--out", required=True,
+                   help="n-best JSONL path; the delay CSV goes to <out>.delay.csv")
     p.set_defaults(func=_cmd_decode)
-
-    p = sub.add_parser("delay-stats", help="emission-delay histogram from n-best output")
-    p.add_argument("--nbest", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="CSV path")
-    p.set_defaults(func=_cmd_delay_stats)
 
     p = sub.add_parser("experiment", help="run all configured arms head-to-head")
     p.add_argument("--config", required=True)
@@ -163,7 +143,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LabError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (LabError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import WordSpan
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .numerics import log_softmax_array
 
 
@@ -261,26 +261,6 @@ def write_nbest(path, entries: list[tuple[str, list[Hypothesis]]]) -> None:
                     "emit_frames": list(hyp.emit_frames),
                 }, separators=(",", ":")))
                 fh.write("\n")
-
-
-_NBEST_FIELDS = ("utt_id", "hyp_tokens", "log_prob", "emit_frames")
-
-
-def read_nbest(path) -> list[dict]:
-    lines = []
-    with open(path) as fh:
-        for lineno, text in enumerate(fh, 1):
-            if not text.strip():
-                continue
-            try:
-                line = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed n-best line ({exc})") from exc
-            missing = [key for key in _NBEST_FIELDS if key not in line]
-            if missing:
-                raise ConfigError(f"{path}:{lineno}: n-best line lacks {', '.join(missing)}")
-            lines.append(line)
-    return lines
 
 
 def write_delay_csv(path, stats: DelayStats) -> None:

@@ -116,7 +116,6 @@ def rnnt_loss(logits, targets, blank: int) -> LossOutput:
     lp, alpha, beta = lattice.log_probs, lattice.alpha, lattice.beta
     t_len, u_rows, _ = lp.shape
     u_len = u_rows - 1
-    targets = [int(y) for y in targets]
 
     loglik = lattice.log_likelihood()
     if not math.isfinite(loglik):
@@ -128,16 +127,17 @@ def rnnt_loss(logits, targets, blank: int) -> LossOutput:
     after_blank[t_len - 1, u_len] = 0.0
     occ_blank = np.exp(alpha + lp[:, :, blank] + after_blank - loglik)
 
-    grad_lp = np.zeros_like(lp)
-    grad_lp[:, :, blank] -= occ_blank
+    # d(-loglik)/dz = softmax * (total occupancy of the cell) - occupancy of each arc
+    occ = occ_blank.copy()
     if u_len:
         cols = np.arange(u_len)
-        lab = np.array(targets)
-        lp_lab = lp[:, cols, lab]
-        occ_lab = np.exp(alpha[:, :u_len] + lp_lab + beta[:, 1:] - loglik)
-        grad_lp[:, cols, lab] -= occ_lab
-
-    grad_z = grad_lp - np.exp(lp) * grad_lp.sum(axis=-1, keepdims=True)
+        lab = np.asarray(targets, dtype=np.int64)
+        occ_lab = np.exp(alpha[:, :u_len] + lp[:, cols, lab] + beta[:, 1:] - loglik)
+        occ[:, :u_len] += occ_lab
+    grad_z = np.exp(lp) * occ[:, :, None]
+    grad_z[:, :, blank] -= occ_blank
+    if u_len:
+        grad_z[:, cols, lab] -= occ_lab
     return _loss_output("rnnt_loss", logits, -loglik, grad_z)
 
 

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from rnnt_lab import cli
 from rnnt_lab.cli import main
 from rnnt_lab.corpus import load_corpus
 from rnnt_lab.harness import (ARM_ALIASES, ARM_INITIALIZERS, PRETRAIN_VARIANTS,
@@ -30,7 +32,7 @@ def test_gen_corpus_writes_files(tmp_path, config_path, capsys):
     assert (tmp_path / "c" / "test.jsonl").exists()
 
 
-def test_pretrain_train_decode_delay_pipeline(tmp_path, config_path):
+def test_pretrain_train_decode_delay_pipeline(tmp_path, config_path, capsys):
     corpus_dir = tmp_path / "c"
     assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
     train_jsonl = str(corpus_dir / "train.jsonl")
@@ -49,17 +51,16 @@ def test_pretrain_train_decode_delay_pipeline(tmp_path, config_path):
                  "--init", ckpt, "--out", trained]) == 0
 
     nbest = str(tmp_path / "nbest.jsonl")
-    assert main(["decode", "--checkpoint", trained, "--corpus", test_jsonl,
-                 "--beam", "2", "--out", nbest]) == 0
+    capsys.readouterr()
+    assert main(["decode", "--config", config_path, "--checkpoint", trained,
+                 "--corpus", test_jsonl, "--out", nbest]) == 0
+    assert capsys.readouterr().out.startswith("token error ")
     lines = [json.loads(l) for l in open(nbest)]
     assert lines and {"utt_id", "hyp_tokens", "log_prob", "emit_frames"} <= set(lines[0])
-
-    delay_csv = str(tmp_path / "delay.csv")
-    assert main(["delay-stats", "--nbest", nbest, "--corpus", test_jsonl,
-                 "--out", delay_csv]) == 0
-    text = open(delay_csv).read().splitlines()
+    text = open(nbest + ".delay.csv").read().splitlines()
     assert text[0] == "bin,count"
     assert any(line.startswith("mean,") for line in text)
+    assert text[-1].startswith("skipped,")
 
 
 def test_train_from_random_init(tmp_path, config_path):
@@ -122,30 +123,6 @@ def test_corpus_line_missing_field_names_file_and_line(tmp_path, config_path, ca
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{corpus}:2:" in err and "features" in err
-
-
-def _delay_stats_inputs(tmp_path, config_path, nbest_line):
-    corpus_dir = tmp_path / "c"
-    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
-    nbest = tmp_path / "nbest.jsonl"
-    nbest.write_text(json.dumps(nbest_line) + "\n")
-    return ["delay-stats", "--nbest", str(nbest), "--corpus", str(corpus_dir / "test.jsonl"),
-            "--out", str(tmp_path / "delay.csv")], str(nbest)
-
-
-def test_delay_stats_unknown_utterance_names_id_and_nbest(tmp_path, config_path, capsys):
-    argv, nbest = _delay_stats_inputs(tmp_path, config_path, {
-        "utt_id": "ghost-utt", "hyp_tokens": [], "log_prob": 0.0, "emit_frames": []})
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "ghost-utt" in err and nbest in err
-
-
-def test_delay_stats_nbest_line_missing_field(tmp_path, config_path, capsys):
-    argv, nbest = _delay_stats_inputs(tmp_path, config_path, {"utt_id": "u", "log_prob": 0.0})
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert f"{nbest}:1:" in err and "hyp_tokens" in err and "emit_frames" in err
 
 
 def test_checkpoint_missing_tensor_names_file(tmp_path, config_path, capsys):
@@ -302,16 +279,111 @@ def test_gap_token_other_than_space_names_file_and_line(tmp_path, config_path, c
     record["transcript"] = [2, 3, 1, 4]  # the gap between the words is token 1, not space 0
     lines[1] = json.dumps(record)
     corpus.write_text("\n".join(lines) + "\n")
+    cfg = ExperimentConfig.from_json(config_path)
+    ckpt = str(tmp_path / "model.json")
+    save_checkpoint(ckpt, TransducerModel(cfg.model, seed=cfg.seed))
     out = str(tmp_path / "out.json")
-    for argv in (["pretrain", "--variant", "y2"], ["train"]):
+    for argv in (["pretrain", "--variant", "y2"], ["train"], ["decode", "--checkpoint", ckpt]):
         assert main(argv + ["--config", config_path, "--corpus", str(corpus),
                             "--out", out]) == 2, argv[0]
         err = capsys.readouterr().err
         assert f"{corpus}:2:" in err and "not the space token 0" in err, (argv[0], err)
     assert not (tmp_path / "out.json").exists()
-    # decode has no config, so no space id: it keeps the spelling checks only
-    cfg = ExperimentConfig.from_json(config_path)
-    ckpt = str(tmp_path / "model.json")
-    save_checkpoint(ckpt, TransducerModel(cfg.model, seed=cfg.seed))
-    assert main(["decode", "--checkpoint", ckpt, "--corpus", str(corpus),
-                 "--beam", "2", "--out", str(tmp_path / "nbest.jsonl")]) == 0
+
+
+@pytest.mark.parametrize("case", ["train-corpus-is-dir", "pretrain-corpus-is-dir",
+                                  "gen-corpus-out-dir-is-file"])
+def test_os_error_exits_2_naming_the_path(tmp_path, config_path, capsys, case):
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out = str(tmp_path / "out.json")
+    argv, path = {
+        "train-corpus-is-dir": (["train", "--config", config_path, "--corpus", str(a_dir),
+                                 "--out", out], a_dir),
+        "pretrain-corpus-is-dir": (["pretrain", "--variant", "y1", "--config", config_path,
+                                    "--corpus", str(a_dir), "--out", out], a_dir),
+        "gen-corpus-out-dir-is-file": (["gen-corpus", "--config", config_path,
+                                        "--out-dir", str(a_file)], a_file),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err, err
+
+
+@pytest.mark.parametrize("command", [["pretrain", "--variant", "y1"], ["train"],
+                                     ["decode", "--checkpoint", "ckpt.json"]])
+def test_out_that_is_a_directory_is_rejected_before_any_work(tmp_path, config_path, capsys,
+                                                             monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the --out check")
+
+    for name in ("load_corpus", "load_checkpoint", "train_transducer", "evaluate_model"):
+        monkeypatch.setattr(cli, name, never)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = command + ["--config", config_path, "--corpus", str(tmp_path / "missing.jsonl"),
+                      "--out", str(out_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(out_dir) in err and "is a directory" in err, err
+    assert list(out_dir.iterdir()) == []
+
+
+_CLI_MODEL = ModelConfig(input_dim=4, stack_factor=2, stack_stride=2, encoder_layers=1,
+                         prediction_layers=1, hidden=12, projection=8, vocab_size=5)
+# criterion 9's config, and a longer random-arm run of it where the beam's best
+# and greedy disagree on which test utterances they recognize exactly
+_CLI_CONFIGS = {
+    "criterion-9": ExperimentConfig(model=_CLI_MODEL, seed=31, num_train=6, num_test=3,
+                                    words_per_utt=(1, 2), pieces_per_word=(1, 2), noise=0.15,
+                                    pretrain_epochs=2, train_epochs=3, batch_size=4,
+                                    beam_width=3, arms=("random", "encoder_ce", "whole_y2")),
+    "beam-greedy-disagree": ExperimentConfig(
+        model=dataclasses.replace(_CLI_MODEL, hidden=16), seed=31, num_train=40, num_test=12,
+        words_per_utt=(1, 2), pieces_per_word=(1, 2), noise=0.15, pretrain_epochs=2,
+        train_epochs=25, batch_size=4, beam_width=3, arms=("random",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLI_CONFIGS))
+def test_cli_pipeline_reproduces_the_experiment_byte_for_byte(tmp_path, capsys, name):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(_CLI_CONFIGS[name].to_dict()))
+    exp_dir, corpus_dir = tmp_path / "exp", tmp_path / "corpus"
+    assert main(["experiment", "--config", str(config), "--out-dir", str(exp_dir)]) == 0
+    experiment_lines = dict(line.split(": ", 1)
+                            for line in capsys.readouterr().out.splitlines())
+    assert main(["gen-corpus", "--config", str(config), "--out-dir", str(corpus_dir)]) == 0
+    for split in ("train.jsonl", "test.jsonl"):
+        assert (corpus_dir / split).read_bytes() == (exp_dir / split).read_bytes()
+    train_jsonl, test_jsonl = str(corpus_dir / "train.jsonl"), str(corpus_dir / "test.jsonl")
+
+    for arm in _CLI_CONFIGS[name].arms:
+        init = "random"
+        if arm != "random":
+            init = str(tmp_path / f"pre_{arm}.json")
+            assert main(["pretrain", "--variant", arm, "--config", str(config),
+                         "--corpus", train_jsonl, "--out", init]) == 0
+        trained = str(tmp_path / f"trained_{arm}.json")
+        assert main(["train", "--config", str(config), "--corpus", train_jsonl,
+                     "--init", init, "--out", trained]) == 0
+        nbest = tmp_path / f"nbest_{arm}.jsonl"
+        capsys.readouterr()
+        assert main(["decode", "--config", str(config), "--checkpoint", trained,
+                     "--corpus", test_jsonl, "--out", str(nbest)]) == 0
+        assert capsys.readouterr().out == experiment_lines[arm] + "\n"
+        assert nbest.read_bytes() == (exp_dir / f"nbest_{arm}.jsonl").read_bytes(), arm
+        delay_csv = tmp_path / f"nbest_{arm}.jsonl.delay.csv"
+        assert delay_csv.read_bytes() == (exp_dir / f"delay_{arm}.csv").read_bytes(), arm
+
+    if name == "beam-greedy-disagree":
+        # the case a delay taken on the beam's best hypothesis gets wrong
+        best = {}
+        for line in nbest.read_text().splitlines():
+            record = json.loads(line)
+            best.setdefault(record["utt_id"], record["hyp_tokens"])
+        beam_exact = sum(best[utt.utt_id] == utt.transcript for utt in load_corpus(test_jsonl))
+        greedy_skipped = int(delay_csv.read_text().splitlines()[-1].split(",")[1])
+        assert beam_exact != len(best) - greedy_skipped

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnnt_lab import ShapeError
 from rnnt_lab.alignment import WordSpan
@@ -82,3 +84,35 @@ def test_piece_word_map_with_space_id_checks_the_gap_tokens():
         assert len(piece_word_map(_two_words(transcript))) == len(transcript)
         with pytest.raises(ShapeError, match=f"token {transcript[pos]} at position {pos}"):
             piece_word_map(_two_words(transcript), space_id=0)
+
+
+@st.composite
+def corpus_configs(draw):
+    def span(lo, hi):
+        first = draw(st.integers(lo, hi))
+        return (first, draw(st.integers(first, hi)))
+
+    gaps = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(gaps), max_size=len(gaps)))
+    vocab = draw(st.integers(3, 6))
+    model = ModelConfig(input_dim=3, stack_factor=2, stack_stride=draw(st.integers(1, 3)),
+                        encoder_layers=1, prediction_layers=1, hidden=4, projection=3,
+                        vocab_size=vocab)
+    return ExperimentConfig(model=model, seed=draw(st.integers(0, 2**31 - 1)),
+                            space_id=draw(st.integers(0, vocab - 1)), num_train=3, num_test=2,
+                            words_per_utt=span(1, 4), pieces_per_word=span(1, 3),
+                            piece_frames=span(1, 5), gap_choices=tuple(gaps),
+                            gap_weights=tuple(w / sum(weights) for w in weights),
+                            noise=draw(st.sampled_from([0.0, 0.05, 0.3, 2.0])))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(cfg=corpus_configs())
+def test_generated_corpus_round_trips_and_fits_its_model(tmp_path_factory, cfg):
+    tmp = tmp_path_factory.mktemp("corpus")
+    for name, utts in zip(("train", "test"), gen_corpus(cfg)):
+        first, second = tmp / f"{name}.jsonl", tmp / f"{name}-again.jsonl"
+        save_corpus(first, utts)
+        save_corpus(second, load_corpus(first))
+        assert second.read_bytes() == first.read_bytes()
+        assert len(load_corpus(first, cfg.model, cfg.space_id)) == len(utts)

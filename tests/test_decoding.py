@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 from rnnt_lab import (DelayStats, ModelConfig, ShapeError, TableModel, Tensor,
                       TransducerModel, WordSpan, beam_decode, build_y2, greedy_decode,
                       harness, label_logits, measure_delay, stack_frames)
-from rnnt_lab.decoding import (Hypothesis, ModelDecoder, read_nbest, write_delay_csv,
-                               write_nbest)
+from rnnt_lab.decoding import Hypothesis, ModelDecoder, write_delay_csv, write_nbest
 from rnnt_lab.numerics import log_softmax_array, logsumexp
 
 
@@ -186,7 +186,7 @@ def test_nbest_roundtrip(tmp_path):
     hyp2 = Hypothesis(prefix=[1], log_prob=-4.25, emit_frames=[1])
     path = tmp_path / "nbest.jsonl"
     write_nbest(path, [("utt-0", [hyp1, hyp2])])
-    lines = read_nbest(path)
+    lines = [json.loads(text) for text in path.read_text().splitlines()]
     assert lines[0] == {"utt_id": "utt-0", "hyp_tokens": [1, 2], "log_prob": -3.5,
                         "emit_frames": [0, 2]}
     assert lines[1]["log_prob"] == -4.25

@@ -145,6 +145,41 @@ def test_rnnt_gradient_finite_differences():
     assert grad_check(f, [logits], eps=1e-5) < 1e-4
 
 
+def reference_rnnt_grad(logits, targets, blank):
+    """The dense-scatter gradient: occupancies scattered into a zeroed
+    (T, U+1, K+1) buffer, then pushed through the log-softmax."""
+    lat = rnnt_lattice(logits, targets, blank)
+    lp, alpha, beta = lat.log_probs, lat.alpha, lat.beta
+    t_len, u_rows, _ = lp.shape
+    u_len = u_rows - 1
+    loglik = lat.log_likelihood()
+    after_blank = np.full((t_len, u_rows), -np.inf)
+    after_blank[: t_len - 1, :] = beta[1:, :]
+    after_blank[t_len - 1, u_len] = 0.0
+    grad_lp = np.zeros_like(lp)
+    grad_lp[:, :, blank] -= np.exp(alpha + lp[:, :, blank] + after_blank - loglik)
+    if u_len:
+        cols = np.arange(u_len)
+        lab = np.array(targets)
+        grad_lp[:, cols, lab] -= np.exp(alpha[:, :u_len] + lp[:, cols, lab] + beta[:, 1:]
+                                        - loglik)
+    return grad_lp - np.exp(lp) * grad_lp.sum(axis=-1, keepdims=True)
+
+
+def test_rnnt_gradient_bit_identical_to_dense_scatter_oracle():
+    rng = np.random.default_rng(2024)
+    for case in range(400):
+        t_len = int(rng.integers(1, 40))
+        u_len = 0 if case % 10 == 0 else int(rng.integers(1, 15))
+        k = int(rng.integers(1, 12))
+        blank = int(rng.integers(0, k + 1))
+        labels = [c for c in range(k + 1) if c != blank]
+        targets = [labels[i] for i in rng.integers(0, k, size=u_len)]
+        logits = random_logits(rng, t_len, u_len, k + 1, scale=float(rng.uniform(0.1, 10.0)))
+        grad = rnnt_loss(logits, targets, blank=blank).grad_logits
+        assert np.array_equal(grad, reference_rnnt_grad(logits, targets, blank)), case
+
+
 def test_rnnt_rejects_blank_in_targets():
     with pytest.raises(ShapeError):
         rnnt_loss(np.zeros((2, 2, 3)), [2], blank=2)
