@@ -331,19 +331,19 @@ def test_out_that_is_a_directory_is_rejected_before_any_work(tmp_path, config_pa
     assert list(out_dir.iterdir()) == []
 
 
-_CLI_MODEL = ModelConfig(input_dim=4, stack_factor=2, stack_stride=2, encoder_layers=1,
-                         prediction_layers=1, hidden=12, projection=8, vocab_size=5)
+_CRITERION_9 = ExperimentConfig(
+    model=ModelConfig(input_dim=4, stack_factor=2, stack_stride=2, encoder_layers=1,
+                      prediction_layers=1, hidden=12, projection=8, vocab_size=5),
+    seed=31, num_train=6, num_test=3, words_per_utt=(1, 2), pieces_per_word=(1, 2),
+    noise=0.15, pretrain_epochs=2, train_epochs=3, batch_size=4, beam_width=3,
+    arms=("random", "encoder_ce", "whole_y2"))
 # criterion 9's config, and a longer random-arm run of it where the beam's best
 # and greedy disagree on which test utterances they recognize exactly
 _CLI_CONFIGS = {
-    "criterion-9": ExperimentConfig(model=_CLI_MODEL, seed=31, num_train=6, num_test=3,
-                                    words_per_utt=(1, 2), pieces_per_word=(1, 2), noise=0.15,
-                                    pretrain_epochs=2, train_epochs=3, batch_size=4,
-                                    beam_width=3, arms=("random", "encoder_ce", "whole_y2")),
-    "beam-greedy-disagree": ExperimentConfig(
-        model=dataclasses.replace(_CLI_MODEL, hidden=16), seed=31, num_train=40, num_test=12,
-        words_per_utt=(1, 2), pieces_per_word=(1, 2), noise=0.15, pretrain_epochs=2,
-        train_epochs=25, batch_size=4, beam_width=3, arms=("random",)),
+    "criterion-9": _CRITERION_9,
+    "beam-greedy-disagree": dataclasses.replace(
+        _CRITERION_9, model=dataclasses.replace(_CRITERION_9.model, hidden=16), num_train=40,
+        num_test=12, train_epochs=25, arms=("random",)),
 }
 
 
@@ -379,7 +379,7 @@ def test_cli_pipeline_reproduces_the_experiment_byte_for_byte(tmp_path, capsys, 
         assert delay_csv.read_bytes() == (exp_dir / f"delay_{arm}.csv").read_bytes(), arm
 
     if name == "beam-greedy-disagree":
-        # the case a delay taken on the beam's best hypothesis gets wrong
+        # random, the only arm, is the case a delay taken on the beam's best gets wrong
         best = {}
         for line in nbest.read_text().splitlines():
             record = json.loads(line)
