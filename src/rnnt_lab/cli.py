@@ -20,10 +20,16 @@ def _load_config(path: str | None) -> ExperimentConfig:
     return ExperimentConfig.from_json(path) if path else ExperimentConfig()
 
 
-def _check_out(path: str) -> None:
-    """Refuse an output path that is a directory before any work is done."""
-    if Path(path).is_dir():
-        raise ConfigError(f"--out {path} is a directory, not a file path")
+MANIFEST_SUFFIX = ".manifest.json"  # pretrain writes <out> and <out>.manifest.json
+DELAY_SUFFIX = ".delay.csv"  # decode writes <out> and <out>.delay.csv
+
+
+def _check_out(path: str, companion_suffix: str = "") -> None:
+    """Refuse an output path, or the companion file written next to it, that
+    is a directory, before any work is done."""
+    for target in (path, path + companion_suffix):
+        if Path(target).is_dir():
+            raise ConfigError(f"--out {path}: {target} is a directory, not a file path")
 
 
 def _score_line(token_error: float, mean_delay: float | None) -> str:
@@ -43,7 +49,7 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, MANIFEST_SUFFIX)
     cfg = _load_config(args.config)
     model = TransducerModel(cfg.model, seed=cfg.seed)
     corpus = load_corpus(args.corpus, cfg.model, cfg.space_id)
@@ -51,7 +57,7 @@ def _cmd_pretrain(args) -> int:
     epochs = arm_pretrain_epochs(cfg, arm)
     manifest = ARM_INITIALIZERS[arm](model, corpus, cfg, epochs)
     save_checkpoint(args.out, model, extra={"pretrain": manifest})
-    manifest_path = args.out + ".manifest.json"
+    manifest_path = args.out + MANIFEST_SUFFIX
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -76,13 +82,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, DELAY_SUFFIX)
     cfg = _load_config(args.config)
     model = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus, model.config, cfg.space_id)
     token_error, delay, nbest_entries = evaluate_model(model, corpus, cfg)
     write_nbest(args.out, nbest_entries)
-    write_delay_csv(args.out + ".delay.csv", delay)
+    write_delay_csv(args.out + DELAY_SUFFIX, delay)
     print(_score_line(token_error, delay.mean()))
     return 0
 
@@ -143,7 +149,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LabError, OSError, json.JSONDecodeError) as exc:
+    except (LabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,11 +104,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            d = json.load(fh)
         try:
-            return cls.from_dict(d)
-        except ConfigError as exc:
+            with open(path) as fh:
+                return cls.from_dict(json.load(fh))
+        except (ConfigError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
     def config_hash(self) -> str:
@@ -208,10 +207,17 @@ def train_transducer(model: TransducerModel, corpus: list[Utterance],
     items = [(stack_frames(utt.features, mc.stack_factor, mc.stack_stride), utt.transcript)
              for utt in corpus]
 
-    def loss_fn(item):
-        stacked, transcript = item
-        out = rnnt_loss(model.forward(stacked, transcript), transcript, mc.blank_id)
-        return out.value, out.node, max(1.0, float(len(transcript)))
+    def loss_fn(batch):
+        enc_runs = model.encode_batch([stacked for stacked, _ in batch])
+        pre_runs = model.predict_batch([transcript for _, transcript in batch])
+
+        def item_loss(j):
+            stacked, transcript = batch[j]
+            logits = model.joint(model.encode(stacked, enc_runs, j),
+                                 model.predict(transcript, pre_runs, j))
+            out = rnnt_loss(logits, transcript, mc.blank_id)
+            return out.value, out.node, max(1.0, float(len(transcript)))
+        return item_loss
 
     return pt.train_with_loss(model.parameters(), items, loss_fn,
                               epochs=cfg.train_epochs, lr=cfg.learning_rate,

@@ -162,13 +162,25 @@ class LstmLayer:
         return out
 
 
+def pad_batch(seqs) -> np.ndarray:
+    """Right-pad nonempty (T_j, D) arrays with zeros into one time-major
+    (max T_j, B, D) batch; sequence j is column j."""
+    batch = np.zeros((max(len(seq) for seq in seqs), len(seqs), seqs[0].shape[-1]))
+    for col, seq in enumerate(seqs):
+        batch[: len(seq), col] = seq
+    return batch
+
+
 class LstmStack:
     """Unidirectional stacked LSTM; output at t depends only on inputs <= t.
 
     Training and decoding share one cell (``numerics.lstm_cell``): ``forward``
     runs each layer as one ``lstm_layer`` (a taped record for a (T, D)
     sequence; untaped, also a time-major (T, B, D) batch), ``step`` advances
-    the untaped per-layer (n, H) states by one input row each.
+    the untaped per-layer (n, H) states by one input row each. A minibatch
+    runs ``forward_batch`` once, untaped, and then ``forward`` per sequence
+    with those runs: each layer records its BPTT over the sequence's column
+    without running the forward pass again.
     """
 
     def __init__(self, in_dim: int, hidden: int, num_layers: int,
@@ -186,10 +198,22 @@ class LstmStack:
             out.extend(layer.named_parameters(f"{prefix}.l{i}"))
         return out
 
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = nm.lstm_layer(x, layer.w, layer.r, layer.b, layer.ln_gain, layer.ln_bias)
+    def forward(self, x: Tensor, runs=None, col: int = 0) -> Tensor:
+        """The stack over ``x``; with ``runs`` from ``forward_batch``, replayed
+        from column ``col`` of that batch, ``x`` being its first rows."""
+        for i, layer in enumerate(self.layers):
+            x = nm.lstm_layer(x, layer.w, layer.r, layer.b, layer.ln_gain, layer.ln_bias,
+                              None if runs is None else runs[i], col)
         return x
+
+    def forward_batch(self, x: np.ndarray) -> list[nm.LstmRun]:
+        """Untaped per-layer forward buffers of a right-padded (T, B, D) batch."""
+        runs = []
+        for layer in self.layers:
+            runs.append(nm.lstm_forward(x, layer.w, layer.r, layer.b,
+                                        layer.ln_gain, layer.ln_bias))
+            x = runs[-1].h
+        return runs
 
     def initial_state(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(np.zeros((1, l.hidden)), np.zeros((1, l.hidden))) for l in self.layers]
@@ -285,19 +309,39 @@ class TransducerModel:
 
     # -- forward passes --------------------------------------------------------
 
-    def encode(self, x: Tensor) -> Tensor:
-        """Eq-style encoder pass over stacked frames: (T, D) -> (T, H)."""
+    def _check_frames(self, x: Tensor) -> None:
         if x.data.ndim != 2 or x.shape[0] == 0:
             raise ShapeError(f"encode: need a nonempty (T, D) input, got shape {x.shape}")
         if x.shape[1] != self.config.encoder_input_dim:
             raise ShapeError(
                 f"encode: input width {x.shape[1]} != input_dim*stack_factor "
                 f"({self.config.encoder_input_dim})")
-        return self.encoder.forward(Tensor(x.data))  # a fresh leaf: features get no grad
 
-    def predict(self, y_prefix: list[int]) -> Tensor:
-        """Label-history pass: prefix of U token ids -> (U+1, H); row 0 is the start context."""
-        return self.prediction.forward(nm.embed_prefix(self.embedding, y_prefix))
+    def encode(self, x: Tensor, runs=None, col: int = 0) -> Tensor:
+        """Eq-style encoder pass over stacked frames: (T, D) -> (T, H); with
+        ``runs`` from ``encode_batch``, replayed from column ``col``."""
+        self._check_frames(x)
+        # a fresh leaf: features get no grad
+        return self.encoder.forward(Tensor(x.data), runs, col)
+
+    def predict(self, y_prefix: list[int], runs=None, col: int = 0) -> Tensor:
+        """Label-history pass: prefix of U token ids -> (U+1, H); row 0 is the
+        start context. With ``runs`` from ``predict_batch``, replayed from
+        column ``col``."""
+        return self.prediction.forward(nm.embed_prefix(self.embedding, y_prefix), runs, col)
+
+    def encode_batch(self, frames) -> list[nm.LstmRun]:
+        """Untaped encoder runs over a minibatch of stacked (T_j, D) frames,
+        right-padded time-major; ``encode(frames[j], runs, j)`` replays one."""
+        for x in frames:
+            self._check_frames(x)
+        return self.encoder.forward_batch(pad_batch([x.data for x in frames]))
+
+    def predict_batch(self, prefixes) -> list[nm.LstmRun]:
+        """Untaped prediction runs over a minibatch of label prefixes;
+        ``predict(prefixes[j], runs, j)`` replays one."""
+        return self.prediction.forward_batch(
+            pad_batch([nm.embed_prefix(self.embedding, y).data for y in prefixes]))
 
     def joint(self, h_enc: Tensor, h_pre: Tensor) -> Tensor:
         """Lattice of logits: (T, H) x (U+1, H) -> (T, U+1, K+1)."""
@@ -380,7 +424,10 @@ def save_checkpoint(path, model: TransducerModel, extra: dict | None = None) -> 
 
 def load_checkpoint(path) -> TransducerModel:
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:

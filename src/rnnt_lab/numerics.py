@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -265,70 +265,129 @@ def lstm_cell(z: np.ndarray, c: np.ndarray, c_out: np.ndarray | None = None,
     return np.multiply(o, tc_out, out=h_out), c_out, ln_stats
 
 
-def lstm_layer(x: Tensor, w: Tensor, r: Tensor, b: Tensor,
-               ln_gain: Tensor | None = None, ln_bias: Tensor | None = None) -> Tensor:
-    """A whole LSTM layer from zero state over a (T, D) sequence, (T, H) hidden
-    rows out, or untaped over a time-major (T, B, D) batch, (T, B, H) out.
+class LstmRun(NamedTuple):
+    """The forward buffers of one LSTM layer over a right-padded time-major
+    (T, B, D) batch, as ``lstm_forward`` leaves them for BPTT."""
 
-    Forward is one input GEMM x @ w + b for all frames, then ``lstm_cell``
-    per step, writing the gates and states into buffers allocated once.
-    Taped, it writes one record whose backward is analytic BPTT over those
-    buffers; untaped, nothing is kept for backward. An input that no record
-    produced and that holds no grad buffer is data (the features into the
-    first encoder layer): backward computes no gradient for it. The layer is
-    causal and starts from zero state, so a batch of right-padded sequences
-    needs no mask: rows before a sequence's length never see its padding.
-    """
-    if x.data.ndim not in (2, 3) or 0 in x.shape[:-1]:
-        raise ShapeError(f"lstm_layer: need a nonempty (T, D) or (T, B, D) input, "
-                         f"got shape {x.shape}")
+    a: np.ndarray  # (T, B, 4H) gate activations i, f, g, o
+    hs: np.ndarray  # (T + 1, B, H) hidden states; row t is the state before step t, row 0 zero
+    cs: np.ndarray  # (T + 1, B, H) cell states, likewise
+    xhat: np.ndarray | None  # (T, B, 4H) layer-normalized pre-activations, or None
+    inv: np.ndarray | None  # (T, B, 1) their 1/std, or None
+
+    @property
+    def h(self) -> np.ndarray:
+        """The (T, B, H) hidden rows out."""
+        return self.hs[1:]
+
+
+def _check_lstm_shapes(x_shape, w: Tensor, r: Tensor, b: Tensor, ln_gain, ln_bias) -> None:
     hh = r.shape[0]
-    if w.shape != (x.shape[-1], 4 * hh) or r.shape != (hh, 4 * hh) or b.shape != (4 * hh,):
-        raise ShapeError(f"lstm_layer: shapes x {x.shape}, w {w.shape}, r {r.shape}, "
+    if w.shape != (x_shape[-1], 4 * hh) or r.shape != (hh, 4 * hh) or b.shape != (4 * hh,):
+        raise ShapeError(f"lstm_layer: shapes x {x_shape}, w {w.shape}, r {r.shape}, "
                          f"b {b.shape} incompatible")
     if (ln_gain is None) != (ln_bias is None) or (
             ln_gain is not None and (ln_gain.shape != (4 * hh,) or ln_bias.shape != (4 * hh,))):
         raise ShapeError(f"lstm_layer: layer norm needs gain and bias of shape ({4 * hh},)")
-    tape = active_tape()
-    if tape is not None and x.data.ndim == 3:
-        raise ShapeError(f"lstm_layer: a (T, B, D) batch runs untaped only, got shape "
-                         f"{x.shape} under a tape")
-    t_len, *batch, d_in = x.shape
+
+
+def lstm_forward(x: np.ndarray, w: Tensor, r: Tensor, b: Tensor,
+                 ln_gain: Tensor | None = None, ln_bias: Tensor | None = None) -> LstmRun:
+    """The one LSTM forward body: a layer from zero state over a nonempty
+    right-padded time-major (T, B, D) batch, untaped.
+
+    One input GEMM x @ w + b covers all T·B rows, then ``lstm_cell`` steps
+    the (B, 4H) rows, writing the gates and states into buffers allocated
+    once. The layer is causal and starts from zero state, so the batch needs
+    no mask: rows before a sequence's length never see its padding.
+    """
+    if x.ndim != 3 or 0 in x.shape[:-1]:
+        raise ShapeError(f"lstm_forward: need a nonempty (T, B, D) batch, got shape {x.shape}")
+    _check_lstm_shapes(x.shape, w, r, b, ln_gain, ln_bias)
+    t_len, batch, d_in = x.shape
+    hh = r.shape[0]
     scale = lstm_gate_scale(hh)
-    # (T, ..., 4H) pre-activations from the input side; each step adds h @ R
+    # (T, B, 4H) pre-activations from the input side; each step adds h @ R
     # to its rows, which the cell then overwrites with the gate activations
-    a = (x.data.reshape(-1, d_in) @ w.data).reshape(t_len, *batch, 4 * hh)
+    a = (x.reshape(-1, d_in) @ w.data).reshape(t_len, batch, 4 * hh)
     a += b.data
+    xhat = inv = None
     if ln_gain is None:
         a *= scale
         r_step, ln = r.data * scale, None
     else:
         r_step, ln = r.data, (ln_gain.data * scale, ln_bias.data * scale)
         xhat = np.empty(a.shape)
-        inv = np.empty((*a.shape[:-1], 1))
-    hs = np.zeros((t_len + 1, *batch, hh))  # row t is the state before step t; row 0 is zero
-    cs = np.zeros((t_len + 1, *batch, hh))
-    tcs = np.empty((t_len, *batch, hh))
-    for t, (z, h, c, c_new, tc, h_new) in enumerate(
-            zip(a, hs[:-1], cs[:-1], cs[1:], tcs, hs[1:])):
+        inv = np.empty((t_len, batch, 1))
+    hs = np.zeros((t_len + 1, batch, hh))
+    cs = np.zeros((t_len + 1, batch, hh))
+    steps = [a, hs[:-1], cs[:-1], cs[1:], hs[1:]]
+    tc = np.empty((batch, hh))  # tanh(c) of one step; BPTT recomputes it per sequence
+    if batch == 1:  # one sequence steps (4H,) rows: a GEMV costs less than a (1, H) GEMM
+        steps, tc = [v[:, 0] for v in steps], tc[0]
+    for t, (z, h, c, c_new, h_new) in enumerate(zip(*steps)):
         z += h @ r_step
         ln_stats = lstm_cell(z, c, c_new, h_new, tc, ln)[2]
         if ln is not None:
             xhat[t], inv[t] = ln_stats
+    return LstmRun(a, hs, cs, xhat, inv)
+
+
+def lstm_layer(x: Tensor, w: Tensor, r: Tensor, b: Tensor,
+               ln_gain: Tensor | None = None, ln_bias: Tensor | None = None,
+               run: LstmRun | None = None, col: int = 0) -> Tensor:
+    """A whole LSTM layer from zero state over a (T, D) sequence, (T, H) hidden
+    rows out, or untaped over a time-major (T, B, D) batch, (T, B, H) out.
+
+    The forward pass is ``lstm_forward``, over the sequence as a batch of
+    one. With ``run``, the forward buffers of a batch that ``x`` is column
+    ``col`` of (its first T rows), nothing is recomputed: the layer's output
+    and record come from that column; without, ``col`` is ignored. Taped,
+    the layer writes one record whose backward is analytic BPTT over the
+    column's buffers. An input that no record produced and that holds no
+    grad buffer is data (the features into the first encoder layer):
+    backward computes no gradient for it.
+    """
+    tape = active_tape()
+    if run is None:
+        if x.data.ndim not in (2, 3) or 0 in x.shape[:-1]:
+            raise ShapeError(f"lstm_layer: need a nonempty (T, D) or (T, B, D) input, "
+                             f"got shape {x.shape}")
+        if x.data.ndim == 3 and tape is not None:
+            raise ShapeError(f"lstm_layer: a (T, B, D) batch runs untaped only (tape each "
+                             f"column with ``run``), got shape {x.shape} under a tape")
+        run = lstm_forward(x.data.reshape(x.shape[0], -1, x.shape[-1]), w, r, b, ln_gain, ln_bias)
+        if x.data.ndim == 3:
+            return Tensor(run.h)
+        col = 0
+    else:
+        if x.data.ndim != 2 or not (0 < x.shape[0] <= run.a.shape[0]) \
+                or not 0 <= col < run.a.shape[1]:
+            raise ShapeError(f"lstm_layer: a (T, D) column of a batch run of "
+                             f"{run.a.shape[:2]} (T, B), got shape {x.shape} at column {col}")
+        _check_lstm_shapes(x.shape, w, r, b, ln_gain, ln_bias)
+    t_len = x.shape[0]
+    hs = run.hs[: t_len + 1, col]
     out = Tensor(hs[1:])
     if tape is None:
         return out
+    hh = r.shape[0]
+    a, cs = run.a[:t_len, col], run.cs[: t_len + 1, col]
+    ln = ln_gain is not None
+    if ln:
+        xhat, inv = run.xhat[:t_len, col], run.inv[:t_len, col]
     x_wants_grad = x.grad is not None or any(rec.output is x for rec in reversed(tape.records))
 
     def backward(g):
         i, f, gg, o = a.reshape(t_len, 4, hh).swapaxes(0, 1)
+        tcs = np.tanh(cs[1:])
         # dz (the 4H pre-activation grad) = [dc, dc, dc, dh] * pq row-wise
         pq = np.stack([gg * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - gg * gg),
                        tcs * o * (1.0 - o)], axis=1)
         dc_dh = o * (1.0 - tcs * tcs)
         dz = np.empty((t_len, 4, hh))
         dz_flat = dz.reshape(t_len, 4 * hh)
-        dz_pre = dz_flat if ln is None else np.empty((t_len, 4 * hh))  # grad before layer norm
+        dz_pre = dz_flat if not ln else np.empty((t_len, 4 * hh))  # grad before layer norm
         rt = r.data.T  # a contiguous copy costs more than it saves at these sizes
         d = np.zeros((4, hh))
         dc = d[:3]  # dL/dc[t], kept three times over, one per i, f, g row of pq
@@ -337,11 +396,11 @@ def lstm_layer(x: Tensor, w: Tensor, r: Tensor, b: Tensor,
             dh += g[t]
             dc += dh * dc_dh[t]
             np.multiply(d, pq[t], out=dz[t])
-            if ln is not None:
+            if ln:
                 dz_pre[t] = _layer_norm_input_grad(dz_flat[t] * ln_gain.data, xhat[t], inv[t])
             np.matmul(dz_pre[t], rt, out=dh)
             dc *= f[t]
-        if ln is not None:
+        if ln:
             ln_gain.ensure_grad()[...] += (dz_flat * xhat).sum(axis=0)
             ln_bias.ensure_grad()[...] += dz_flat.sum(axis=0)
         if x_wants_grad:
@@ -350,7 +409,7 @@ def lstm_layer(x: Tensor, w: Tensor, r: Tensor, b: Tensor,
         r.ensure_grad()[...] += hs[:-1].T @ dz_pre
         b.ensure_grad()[...] += dz_pre.sum(axis=0)
 
-    inputs = (x, w, r, b) if ln_gain is None else (x, w, r, b, ln_gain, ln_bias)
+    inputs = (x, w, r, b) if not ln else (x, w, r, b, ln_gain, ln_bias)
     _record("lstm_layer", inputs, out, backward)
     return out
 

@@ -31,7 +31,7 @@ from . import loss as losses
 from .alignment import FrameAlignment, collapse, short_pause_spans
 from .corpus import Utterance, corpus_hash
 from .errors import DegenerateUtterance, NumericsError, ShapeError
-from .model import Affine, TransducerModel, stack_frames
+from .model import Affine, TransducerModel, pad_batch, stack_frames
 from .numerics import Adam, Tape, Tensor
 
 
@@ -167,8 +167,11 @@ class PretrainReport:
 def train_with_loss(params, items, loss_fn, *, epochs: int, lr: float = 1e-3,
                     batch_size: int = 8, grad_clip: float = 5.0, seed: int = 0,
                     on_epoch_end=None) -> list[float]:
-    """Generic minibatch loop. ``loss_fn(item)`` runs a taped forward pass and
-    returns (value, node, weight); gradients are scaled by the batch's total
+    """Generic minibatch loop. ``loss_fn(batch)`` gets one minibatch's items,
+    runs the forward work they share untaped, and returns ``item_loss``;
+    ``item_loss(j)``, run under item j's own tape, finishes its forward pass
+    and returns (value, node, weight). Each item's tape runs its backward
+    before the next item starts; gradients are scaled by the batch's total
     weight, clipped by global norm, and stepped with Adam. The per-epoch
     entries are sum(value)/sum(weight) over the whole epoch.
     ``on_epoch_end(epoch, loss)`` runs after each epoch when given. A
@@ -183,12 +186,15 @@ def train_with_loss(params, items, loss_fn, *, epochs: int, lr: float = 1e-3,
         for start in range(0, len(order), batch_size):
             opt.zero_grad()
             batch_weight = 0.0
-            for idx in order[start : start + batch_size]:
+            batch = [items[idx] for idx in order[start : start + batch_size]]
+            item_loss = loss_fn(batch)
+            for j in range(len(batch)):
                 with Tape() as tape:
-                    value, node, weight = loss_fn(items[idx])
+                    value, node, weight = item_loss(j)
                     tape.backward(node)
                 batch_weight += weight
                 epoch_value += value
+            del item_loss, tape  # free the minibatch's forward buffers before the next one's
             epoch_weight += batch_weight
             if batch_weight > 0:
                 for p in params:
@@ -231,10 +237,14 @@ def pretrain_encoder_ce(model: TransducerModel, corpus: list[Utterance], *, spac
     fc = Affine(cfg.hidden, cfg.num_classes, np.random.default_rng([seed, 0xFC]))
     params = model.encoder_parameters() + fc.parameters()
 
-    def loss_fn(item):
-        _, stacked, fa = item
-        out = losses.frame_ce_loss(model.encode(stacked), fc, fa.labels)
-        return out.value, out.node, 1.0
+    def loss_fn(batch):
+        runs = model.encode_batch([stacked for _, stacked, _ in batch])
+
+        def item_loss(j):
+            _, stacked, fa = batch[j]
+            out = losses.frame_ce_loss(model.encode(stacked, runs, j), fc, fa.labels)
+            return out.value, out.node, 1.0
+        return item_loss
 
     history = train_with_loss(params, items, loss_fn, epochs=epochs, lr=lr,
                               batch_size=batch_size, seed=seed)
@@ -251,10 +261,7 @@ def _frame_accuracy(model: TransducerModel, fc: Affine, items, batch_size: int) 
     hits = total = 0
     for start in range(0, len(items), batch_size):
         chunk = items[start : start + batch_size]
-        batch = np.zeros((max(stacked.shape[0] for _, stacked, _ in chunk), len(chunk),
-                          model.config.encoder_input_dim))
-        for col, (_, stacked, _) in enumerate(chunk):
-            batch[: stacked.shape[0], col] = stacked.data
+        batch = pad_batch([stacked.data for _, stacked, _ in chunk])
         pred = np.argmax(fc.apply(Tensor(model.encode_frames(batch))).data, axis=-1)
         for col, (_, _, fa) in enumerate(chunk):
             hits += int((pred[: len(fa.labels), col] == fa.labels).sum())
@@ -272,11 +279,15 @@ def pretrain_encoder_ctc(model: TransducerModel, corpus: list[Utterance], *,
     items = [(utt, stack_frames(utt.features, cfg.stack_factor, cfg.stack_stride))
              for utt in corpus]
 
-    def loss_fn(item):
-        utt, stacked = item
-        logits = fc.apply(model.encode(stacked))
-        out = losses.ctc_loss(logits, utt.transcript, cfg.blank_id)
-        return out.value, out.node, max(1.0, float(len(utt.transcript)))
+    def loss_fn(batch):
+        runs = model.encode_batch([stacked for _, stacked in batch])
+
+        def item_loss(j):
+            utt, stacked = batch[j]
+            logits = fc.apply(model.encode(stacked, runs, j))
+            out = losses.ctc_loss(logits, utt.transcript, cfg.blank_id)
+            return out.value, out.node, max(1.0, float(len(utt.transcript)))
+        return item_loss
 
     history = train_with_loss(params, items, loss_fn, epochs=epochs, lr=lr,
                               batch_size=batch_size, seed=seed)
@@ -292,9 +303,14 @@ def pretrain_prediction_lm(model: TransducerModel, corpus: list[Utterance], *,
     params = model.prediction_parameters() + fc.parameters()
     items = [utt for utt in corpus if len(utt.transcript) >= 1]
 
-    def loss_fn(utt):
-        out = losses.lm_ce_loss(model.predict(utt.transcript), fc, utt.transcript)
-        return out.value, out.node, 1.0
+    def loss_fn(batch):
+        runs = model.predict_batch([utt.transcript for utt in batch])
+
+        def item_loss(j):
+            utt = batch[j]
+            out = losses.lm_ce_loss(model.predict(utt.transcript, runs, j), fc, utt.transcript)
+            return out.value, out.node, 1.0
+        return item_loss
 
     history = train_with_loss(params, items, loss_fn, epochs=epochs, lr=lr,
                               batch_size=batch_size, seed=seed)
@@ -314,10 +330,17 @@ def pretrain_whole_network(model: TransducerModel, corpus: list[Utterance], vari
     items = [(utt, stacked, build(fa, utt.transcript, cfg.blank_id, space_id))
              for utt, stacked, fa in aligned]
 
-    def loss_fn(item):
-        utt, stacked, label = item
-        out = losses.masked_ce_3d(model.forward(stacked, utt.transcript), label)
-        return out.value, out.node, 1.0
+    def loss_fn(batch):
+        enc_runs = model.encode_batch([stacked for _, stacked, _ in batch])
+        pre_runs = model.predict_batch([utt.transcript for utt, _, _ in batch])
+
+        def item_loss(j):
+            utt, stacked, label = batch[j]
+            logits = model.joint(model.encode(stacked, enc_runs, j),
+                                 model.predict(utt.transcript, pre_runs, j))
+            out = losses.masked_ce_3d(logits, label)
+            return out.value, out.node, 1.0
+        return item_loss
 
     history = train_with_loss(model.parameters(), items, loss_fn, epochs=epochs, lr=lr,
                               batch_size=batch_size, seed=seed)

@@ -112,7 +112,20 @@ def test_malformed_json_config_exits_nonzero(tmp_path, capsys):
     bad.write_text('{"seed": 1,')
     rc = main(["gen-corpus", "--config", str(bad), "--out-dir", str(tmp_path / "c")])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "line 1 column 12" in err, err
+
+
+def test_truncated_checkpoint_names_file_and_line(tmp_path, config_path, capsys):
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(ckpt, TransducerModel(ModelConfig(hidden=4), seed=1))
+    text = ckpt.read_text()
+    ckpt.write_text(text[: len(text) // 2])
+    rc = main(["decode", "--config", config_path, "--checkpoint", str(ckpt),
+               "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "n.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ") and "line 1 column" in err, err
 
 
 def test_corpus_line_missing_field_names_file_and_line(tmp_path, config_path, capsys):
@@ -329,6 +342,30 @@ def test_out_that_is_a_directory_is_rejected_before_any_work(tmp_path, config_pa
     err = capsys.readouterr().err
     assert str(out_dir) in err and "is a directory" in err, err
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, companion", [
+    (["pretrain", "--variant", "y1"], ".manifest.json"),
+    (["decode", "--checkpoint", "ckpt.json"], ".delay.csv")])
+def test_companion_output_that_is_a_directory_is_rejected_before_any_work(
+        tmp_path, config_path, capsys, monkeypatch, command, companion):
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the --out check")
+
+    for name in ("load_corpus", "load_checkpoint", "evaluate_model", "save_checkpoint",
+                 "write_nbest", "write_delay_csv"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setitem(cli.ARM_INITIALIZERS, "whole_y1", never)
+    out = tmp_path / "out.json"
+    companion_dir = tmp_path / (out.name + companion)
+    companion_dir.mkdir()
+    argv = command + ["--config", config_path, "--corpus", str(tmp_path / "missing.jsonl"),
+                      "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(companion_dir) in err and "is a directory" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", companion_dir.name])
+    assert list(companion_dir.iterdir()) == []
 
 
 _CRITERION_9 = ExperimentConfig(

@@ -320,6 +320,47 @@ def test_taped_utterance_writes_one_record_per_lstm_layer():
         "matmul", "matmul", "outer_add", "add_row", "affine_last", "rnnt_loss"]
 
 
+def minibatch_losses_and_grads(model, feats, targets, batched):
+    """rnnt_loss value per utterance and the summed parameter grads of one
+    minibatch, one tape and backward per utterance; batched, encode and
+    predict replay columns of one encode_batch / predict_batch run."""
+    for p in model.parameters():
+        p.zero_grad()
+    enc = model.encode_batch(feats) if batched else None
+    pre = model.predict_batch(targets) if batched else None
+    values, records = [], []
+    for j, (x, y) in enumerate(zip(feats, targets)):
+        with Tape() as tape:
+            logits = model.joint(model.encode(x, enc, j), model.predict(y, pre, j))
+            out = rnnt_loss(logits, y, model.config.blank_id)
+            tape.backward(out.node)
+        values.append(out.value)
+        records.append([rec.name for rec in tape.records])
+    return values, records, [p.grad for p in model.parameters()]
+
+
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_minibatch_replay_matches_per_utterance_passes(layer_norm):
+    cfg = ModelConfig(input_dim=3, stack_factor=2, stack_stride=1, encoder_layers=2,
+                      prediction_layers=2, hidden=5, projection=4, vocab_size=4,
+                      use_layer_norm=layer_norm)
+    model = TransducerModel(cfg, seed=15)
+    rng = np.random.default_rng(16)
+    for p in model.parameters():
+        p.data += rng.uniform(-0.3, 0.3, size=p.shape)  # nonzero biases and norm shifts
+    # ragged T including T=1, ragged U including U=0; the longest T and U differ
+    shapes = [(4, [1, 2]), (1, []), (7, [3, 0, 2]), (1, [2]), (3, [0, 1, 2, 3, 1])]
+    feats = [Tensor(rng.normal(size=(t_len, cfg.encoder_input_dim))) for t_len, _ in shapes]
+    targets = [y for _, y in shapes]
+    got_values, got_records, got_grads = minibatch_losses_and_grads(model, feats, targets, True)
+    want_values, want_records, want_grads = minibatch_losses_and_grads(model, feats, targets,
+                                                                       False)
+    assert got_records == want_records
+    assert np.abs(np.subtract(got_values, want_values)).max() <= 1e-12
+    for (name, _), got, want in zip(model.named_parameters(), got_grads, want_grads):
+        assert np.abs(got - want).max() <= 1e-12, name
+
+
 def test_clone_is_equal_and_independent(tiny_model):
     tiny_model.encoder.layers[0].w.ensure_grad()[...] = 1.0
     other = tiny_model.clone()

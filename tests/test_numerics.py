@@ -242,6 +242,64 @@ def test_taped_batch_raises():
     assert tape.records == []
 
 
+def replayed_columns(params, seqs, dhs, batch=None):
+    """Per sequence: the output and the grads of x and every param after one
+    taped lstm_layer call and its backward. With ``batch`` (the sequences
+    right-padded), every call replays its column of one lstm_forward run."""
+    run = None if batch is None else nm.lstm_forward(batch, *params)
+    results = []
+    for col, (seq, dh) in enumerate(zip(seqs, dhs)):
+        x = Tensor(seq, grad=np.zeros_like(seq))  # a grad buffer on x asks for dX
+        for p in params:
+            p.zero_grad()
+        with Tape() as tape:
+            out = nm.lstm_layer(x, *params, run=run, col=col)
+            tape.backward(out, seed=dh)
+        assert [rec.name for rec in tape.records] == ["lstm_layer"]
+        results.append([out.data, x.grad] + [p.grad for p in params])
+    return results
+
+
+def assert_replay_matches_per_sequence_calls(rng, lengths, d, hh, layer_norm):
+    params = lstm_inputs(rng, 1, layer_norm, d=d, hh=hh)[1:]
+    seqs = [rng.uniform(-1, 1, size=(n, d)) for n in lengths]
+    dhs = [rng.uniform(-1, 1, size=(n, hh)) for n in lengths]
+    # padding frames hold noise, not zeros: no column may see another's rows
+    batch = rng.uniform(-1, 1, size=(max(lengths), len(seqs), d))
+    for col, seq in enumerate(seqs):
+        batch[: len(seq), col] = seq
+    for got, want in zip(replayed_columns(params, seqs, dhs, batch),
+                         replayed_columns(params, seqs, dhs)):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12
+
+
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_batch_column_replay_matches_per_sequence_calls(layer_norm):
+    assert_replay_matches_per_sequence_calls(np.random.default_rng(45), [5, 1, 7, 3],
+                                             d=5, hh=6, layer_norm=layer_norm)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       d=st.integers(1, 6), hh=st.integers(1, 7), layer_norm=st.booleans())
+def test_batch_column_replay_matches_per_sequence_calls_property(seed, lengths, d, hh,
+                                                                 layer_norm):
+    assert_replay_matches_per_sequence_calls(np.random.default_rng(seed), lengths, d, hh,
+                                             layer_norm)
+
+
+@pytest.mark.parametrize("t_len, col", [(5, 0), (0, 0), (2, 2), (2, -1)])
+def test_replay_outside_the_run_raises(t_len, col):
+    rng = np.random.default_rng(46)
+    params = lstm_inputs(rng, 1, layer_norm=False)[1:]
+    run = nm.lstm_forward(rng.uniform(-1, 1, size=(4, 2, 3)), *params)
+    with Tape() as tape, pytest.raises(ShapeError, match="column of a batch run"):
+        nm.lstm_layer(Tensor(np.zeros((t_len, 3))), *params, run=run, col=col)
+    assert tape.records == []
+
+
 # a fixed seed per op, so a failing case replays exactly
 PRIMITIVE_SEEDS = {"add_row": 2201, "outer_add": 2202, "affine_last": 2203, "embed_prefix": 2204}
 

@@ -5,8 +5,8 @@ from rnnt_lab import (FrameAlignment, ModelConfig, ShapeError, TableModel,
                       TransducerModel, build_y1, build_y2, build_y3,
                       greedy_decode, label_logits, stack_frames)
 from rnnt_lab import NumericsError, Tensor, pretrain
-from rnnt_lab.harness import ARM_INITIALIZERS, ExperimentConfig, gen_corpus
-from rnnt_lab.numerics import record_scalar_loss
+from rnnt_lab.harness import ARM_INITIALIZERS, ExperimentConfig, gen_corpus, train_transducer
+from rnnt_lab.numerics import Tape, active_tape, record_scalar_loss
 from rnnt_lab.pretrain import LABEL_BUILDERS
 
 
@@ -266,15 +266,104 @@ def test_non_finite_gradient_error_names_the_epoch():
     param = Tensor(np.zeros(2))
     calls = []
 
-    def loss_fn(item):
-        # one minibatch of two items per epoch: the third call is epoch 2's first
-        calls.append(item)
-        grad = np.full(2, np.nan) if len(calls) > 2 else np.ones(2)
-        return 1.0, record_scalar_loss("probe", param, 1.0, grad), 1.0
+    def loss_fn(batch):
+        def item_loss(j):
+            # one minibatch of two items per epoch: the third call is epoch 2's first
+            calls.append(batch[j])
+            grad = np.full(2, np.nan) if len(calls) > 2 else np.ones(2)
+            return 1.0, record_scalar_loss("probe", param, 1.0, grad), 1.0
+        return item_loss
 
     with pytest.raises(NumericsError, match=r"epoch 2, minibatch 1: Adam.step 2: non-finite"):
         pretrain.train_with_loss([param], [0, 1], loss_fn, epochs=3, batch_size=2)
     assert len(calls) == 4
+
+
+def test_train_with_loss_gives_each_item_one_tape_and_backward(monkeypatch):
+    param = Tensor(np.zeros(2))
+    batches, items_run, backwards = [], [], []
+    real_backward = Tape.backward
+
+    def counting_backward(tape, output, seed=1.0):
+        backwards.append(tape)
+        return real_backward(tape, output, seed)
+
+    def loss_fn(batch):
+        batches.append(list(batch))
+
+        def item_loss(j):
+            items_run.append(batch[j])
+            return 1.0, record_scalar_loss("probe", param, 1.0, np.ones(2)), 1.0
+        return item_loss
+
+    monkeypatch.setattr(Tape, "backward", counting_backward)
+    pretrain.train_with_loss([param], list(range(5)), loss_fn, epochs=3, batch_size=2)
+    assert [len(b) for b in batches] == [2, 2, 1] * 3
+    assert [sorted(sum(batches[e * 3 : e * 3 + 3], [])) for e in range(3)] == [[0, 1, 2, 3, 4]] * 3
+    assert items_run == sum(batches, [])
+    assert len(backwards) == 15 and len(set(map(id, backwards))) == 15
+
+
+def test_rnnt_training_encodes_predicts_and_joins_each_utterance_under_its_tape(monkeypatch):
+    cfg = small_experiment_config(num_train=7, train_epochs=3, batch_size=3)
+    train, _ = gen_corpus(cfg)
+    calls = {"backward": 0, "encode": 0, "predict": 0, "joint": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            assert active_tape() is not None, name
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((Tape, "backward"), (TransducerModel, "encode"),
+                        (TransducerModel, "predict"), (TransducerModel, "joint")):
+        counting(owner, name)
+    train_transducer(TransducerModel(cfg.model, seed=cfg.seed), train, cfg)
+    assert calls == dict.fromkeys(calls, 3 * 7)
+
+
+def _rnnt(model, corpus, cfg):
+    return train_transducer(model, corpus, cfg)
+
+
+SCHEDULES = {
+    "rnnt": _rnnt,
+    "enc-ce": lambda model, corpus, cfg: pretrain.pretrain_encoder_ce(
+        model, corpus, space_id=cfg.space_id, epochs=2, batch_size=3).losses,
+    "enc-ctc": lambda model, corpus, cfg: pretrain.pretrain_encoder_ctc(
+        model, corpus, epochs=2, batch_size=3).losses,
+    "lm": lambda model, corpus, cfg: pretrain.pretrain_prediction_lm(
+        model, corpus, epochs=2, batch_size=3).losses,
+    "whole-y2": lambda model, corpus, cfg: pretrain.pretrain_whole_network(
+        model, corpus, "y2", space_id=cfg.space_id, epochs=2, batch_size=3).losses,
+}
+
+
+@pytest.mark.parametrize("layer_norm", [False, True])
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
+def test_batched_forward_trains_as_per_utterance_forward(schedule, layer_norm, monkeypatch):
+    model_cfg = ModelConfig(input_dim=4, stack_factor=2, stack_stride=2, encoder_layers=2,
+                            prediction_layers=1, hidden=8, projection=6, vocab_size=6,
+                            use_layer_norm=layer_norm)
+    cfg = small_experiment_config(model=model_cfg, num_train=7, batch_size=3)
+    train, _ = gen_corpus(cfg)
+    base = TransducerModel(cfg.model, seed=cfg.seed)
+    batched = base.clone()
+    got = SCHEDULES[schedule](batched, train, cfg)
+    # without runs, encode and predict run each utterance's own forward pass
+    monkeypatch.setattr(TransducerModel, "encode_batch", lambda self, frames: None)
+    monkeypatch.setattr(TransducerModel, "predict_batch", lambda self, prefixes: None)
+    single = base.clone()
+    want = SCHEDULES[schedule](single, train, cfg)
+    assert np.abs(np.subtract(got, want)).max() <= 1e-12 * np.abs(want).max()
+    got_state, want_state = batched.state_dict(), single.state_dict()
+    for name, value in want_state.items():
+        assert np.abs(got_state[name] - value).max() <= 1e-12, name
+    assert any(not np.array_equal(got_state[name], value)
+               for name, value in base.state_dict().items())
 
 
 def test_all_variants_produce_finite_losses():
