@@ -4,7 +4,7 @@ loss, and watch greedy decoding recover transcripts with emission times.
 Runs in about a minute; shrink num_train or the epoch counts to go faster.
 """
 
-from rnnt_lab import ModelConfig, TransducerModel, greedy_decode, stack_frames
+from rnnt_lab import ModelConfig, ModelDecoder, TransducerModel, greedy_decode, stack_frames
 from rnnt_lab.harness import ExperimentConfig, gen_corpus, train_transducer
 from rnnt_lab.pretrain import pretrain_encoder_ce
 
@@ -31,7 +31,7 @@ print("  " + " ".join(f"{v:.2f}" for v in losses[::10]) + f" ... {losses[-1]:.3f
 
 for utt in test:
     stacked = stack_frames(utt.features, model_cfg.stack_factor, model_cfg.stack_stride)
-    hyp = greedy_decode(model, stacked)
+    hyp = greedy_decode(ModelDecoder(model, stacked))
     mark = "ok " if hyp.prefix == utt.transcript else "ERR"
     print(f"{mark} {utt.utt_id}  ref={utt.transcript}")
     print(f"      hyp={hyp.prefix} emitted at frames {hyp.emit_frames}")

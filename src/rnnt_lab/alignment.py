@@ -41,9 +41,6 @@ class FrameAlignment:
 
     labels: list[int] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 def allocate_frames(span: WordSpan) -> list[int]:
     """Per-piece frame counts: equal split, ceil-first, summing to the span length."""

@@ -74,8 +74,6 @@ class ModelDecoder:
     """
 
     def __init__(self, model, features):
-        if features is None:
-            raise ShapeError("decoding a model needs encoder input features")
         self.model = model
         self.enc = model.encode_frames(features)
         self.num_frames = self.enc.shape[0]
@@ -121,19 +119,11 @@ class TableModel:
         return self.table[t, [min(len(p), last) for p in prefixes]]
 
 
-def _as_decoder(model, features):
-    """A decoder as given, or a TransducerModel bound to ``features``."""
-    return model if hasattr(model, "logprobs") else ModelDecoder(model, features)
-
-
-def greedy_decode(model, features=None, max_symbols_per_frame: int = 4) -> Hypothesis:
-    """Single-hypothesis frame-synchronous decode; argmax ties break low.
-
-    ``model`` is a decoder, or a TransducerModel together with ``features``.
-    """
+def greedy_decode(dec, max_symbols_per_frame: int = 4) -> Hypothesis:
+    """Single-hypothesis frame-synchronous decode of decoder ``dec``; argmax
+    ties break low."""
     if max_symbols_per_frame < 1:
         raise ShapeError("greedy_decode: max_symbols_per_frame must be >= 1")
-    dec = _as_decoder(model, features)
     prefix: tuple = ()
     emit_frames: list[int] = []
     log_prob = 0.0
@@ -170,18 +160,17 @@ def _merge_into(bucket: dict, hyp: _BeamHyp) -> None:
                                       keep.emit_frames, prev.on_greedy_path or hyp.on_greedy_path)
 
 
-def beam_decode(model, features=None, beam_width: int = 5,
+def beam_decode(dec, beam_width: int = 5,
                 max_symbols_per_frame: int = 4) -> tuple[Hypothesis, list[Hypothesis]]:
-    """Frame-synchronous beam search with prefix merging; returns the best
-    hypothesis and the n-best list (one entry per surviving prefix).
+    """Frame-synchronous beam search of decoder ``dec`` with prefix merging;
+    returns the best hypothesis and the n-best list (one entry per surviving
+    prefix).
 
-    ``model`` is a decoder, or a TransducerModel together with ``features``.
     Each expansion step scores the whole pool with one ``logprobs`` call and
     ranks all (hypothesis, class) candidates with one sort.
     """
     if beam_width < 1:
         raise ShapeError("beam_decode: beam_width must be >= 1")
-    dec = _as_decoder(model, features)
     beam = [_BeamHyp((), 0.0, (), on_greedy_path=True)]
 
     for t in range(dec.num_frames):

@@ -260,7 +260,6 @@ class MetricsRow:
     train_loss: float | None
     token_error_rate: float | None
     mean_delay: float | None
-    wall_time_s: float | None = None  # summary-only; kept out of the CSV so reruns match byte-for-byte
 
 
 CSV_COLUMNS = ("config_hash", "arm", "epoch", "train_loss", "token_error_rate", "mean_delay")
@@ -399,7 +398,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             for epoch, loss_value in enumerate(losses[:-1], start=1):
                 rows.append(MetricsRow(chash, arm, epoch, loss_value, None, None))
             rows.append(MetricsRow(chash, arm, len(losses), losses[-1] if losses else None,
-                                   token_error, delay.mean(), elapsed))
+                                   token_error, delay.mean()))
             write_nbest(out_dir / f"nbest_{arm}.jsonl", nbest_entries)
             write_delay_csv(out_dir / f"delay_{arm}.csv", delay)
             arm_summaries[arm] = {

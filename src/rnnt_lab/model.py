@@ -174,13 +174,12 @@ def pad_batch(seqs) -> np.ndarray:
 class LstmStack:
     """Unidirectional stacked LSTM; output at t depends only on inputs <= t.
 
-    Training and decoding share one cell (``numerics.lstm_cell``): ``forward``
-    runs each layer as one ``lstm_layer`` (a taped record for a (T, D)
-    sequence; untaped, also a time-major (T, B, D) batch), ``step`` advances
-    the untaped per-layer (n, H) states by one input row each. A minibatch
-    runs ``forward_batch`` once, untaped, and then ``forward`` per sequence
-    with those runs: each layer records its BPTT over the sequence's column
-    without running the forward pass again.
+    Training and decoding share one cell (``numerics.lstm_cell``):
+    ``forward_batch`` runs every layer over a right-padded time-major
+    (T, B, D) batch, untaped; ``forward`` replays one sequence's column of
+    those runs as one ``lstm_layer`` per layer (each a taped BPTT record),
+    without running the forward pass again; ``step`` advances the untaped
+    per-layer (n, H) states by one input row each.
     """
 
     def __init__(self, in_dim: int, hidden: int, num_layers: int,
@@ -199,11 +198,14 @@ class LstmStack:
         return out
 
     def forward(self, x: Tensor, runs=None, col: int = 0) -> Tensor:
-        """The stack over ``x``; with ``runs`` from ``forward_batch``, replayed
-        from column ``col`` of that batch, ``x`` being its first rows."""
-        for i, layer in enumerate(self.layers):
+        """The stack over a (T, D) sequence ``x``, replayed from column ``col``
+        of ``runs`` from ``forward_batch``, ``x`` being its first rows; without
+        ``runs``, from ``x`` run alone as a batch of one."""
+        if runs is None:
+            runs, col = self.forward_batch(x.data[:, None]), 0
+        for layer, run in zip(self.layers, runs):
             x = nm.lstm_layer(x, layer.w, layer.r, layer.b, layer.ln_gain, layer.ln_bias,
-                              None if runs is None else runs[i], col)
+                              run=run, col=col)
         return x
 
     def forward_batch(self, x: np.ndarray) -> list[nm.LstmRun]:
@@ -361,14 +363,12 @@ class TransducerModel:
     # -- inference-only stepping (plain numpy, no tape) -------------------------
 
     def encode_frames(self, features) -> np.ndarray:
-        """Untaped encoder pass over stacked frames, (T, D) -> (T, H), or over a
-        time-major batch of right-padded sequences, (T, B, D) -> (T, B, H);
-        rows before a sequence's length match its unbatched pass."""
-        data = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
-        if data.ndim not in (2, 3) or 0 in data.shape[:-1]:
-            raise ShapeError(f"encode_frames: need a nonempty (T, D) or (T, B, D) input, "
-                             f"got shape {data.shape}")
-        return self.encoder.forward(Tensor(data)).data
+        """Untaped encoder pass over stacked frames, (T, D) -> (T, H): the
+        ``encode_batch`` of one sequence."""
+        x = features if isinstance(features, Tensor) else Tensor(features)
+        if x.data.ndim != 2 or x.shape[0] == 0:
+            raise ShapeError(f"encode_frames: need a nonempty (T, D) input, got shape {x.shape}")
+        return self.encode_batch([x])[-1].h[:, 0]
 
     def prediction_start(self):
         state = self.prediction.initial_state()
@@ -428,19 +428,31 @@ def load_checkpoint(path) -> TransducerModel:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     try:
         model = TransducerModel(ModelConfig.from_dict(payload["config"]))
-        state = {
-            name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-            for name, rec in payload["tensors"].items()
-        }
-        model.load_state(state)
+        tensors = payload["tensors"]
+        if not isinstance(tensors, dict):
+            raise ConfigError(f"'tensors' must be an object, got {type(tensors).__name__}")
+        model.load_state({name: _checkpoint_tensor(name, rec) for name, rec in tensors.items()})
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint lacks {exc}") from exc
-    except ConfigError as exc:
+    except (ConfigError, ShapeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return model
+
+
+def _checkpoint_tensor(name: str, rec) -> np.ndarray:
+    """The array of one checkpoint tensor record, a {shape, data} object."""
+    if not isinstance(rec, dict) or set(rec) != {"shape", "data"}:
+        raise ConfigError(f"tensor {name!r}: need a {{shape, data}} object")
+    try:
+        data = np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tensor {name!r}: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise ConfigError(f"tensor {name!r}: non-finite value")
+    return data

@@ -334,41 +334,27 @@ def lstm_forward(x: np.ndarray, w: Tensor, r: Tensor, b: Tensor,
 
 
 def lstm_layer(x: Tensor, w: Tensor, r: Tensor, b: Tensor,
-               ln_gain: Tensor | None = None, ln_bias: Tensor | None = None,
-               run: LstmRun | None = None, col: int = 0) -> Tensor:
+               ln_gain: Tensor | None = None, ln_bias: Tensor | None = None, *,
+               run: LstmRun, col: int) -> Tensor:
     """A whole LSTM layer from zero state over a (T, D) sequence, (T, H) hidden
-    rows out, or untaped over a time-major (T, B, D) batch, (T, B, H) out.
+    rows out, replayed from column ``col`` of ``run``: the ``lstm_forward``
+    buffers of a batch whose column ``col`` starts with ``x``.
 
-    The forward pass is ``lstm_forward``, over the sequence as a batch of
-    one. With ``run``, the forward buffers of a batch that ``x`` is column
-    ``col`` of (its first T rows), nothing is recomputed: the layer's output
-    and record come from that column; without, ``col`` is ignored. Taped,
+    Nothing is recomputed: the layer's output comes from that column. Taped,
     the layer writes one record whose backward is analytic BPTT over the
     column's buffers. An input that no record produced and that holds no
     grad buffer is data (the features into the first encoder layer):
     backward computes no gradient for it.
     """
-    tape = active_tape()
-    if run is None:
-        if x.data.ndim not in (2, 3) or 0 in x.shape[:-1]:
-            raise ShapeError(f"lstm_layer: need a nonempty (T, D) or (T, B, D) input, "
-                             f"got shape {x.shape}")
-        if x.data.ndim == 3 and tape is not None:
-            raise ShapeError(f"lstm_layer: a (T, B, D) batch runs untaped only (tape each "
-                             f"column with ``run``), got shape {x.shape} under a tape")
-        run = lstm_forward(x.data.reshape(x.shape[0], -1, x.shape[-1]), w, r, b, ln_gain, ln_bias)
-        if x.data.ndim == 3:
-            return Tensor(run.h)
-        col = 0
-    else:
-        if x.data.ndim != 2 or not (0 < x.shape[0] <= run.a.shape[0]) \
-                or not 0 <= col < run.a.shape[1]:
-            raise ShapeError(f"lstm_layer: a (T, D) column of a batch run of "
-                             f"{run.a.shape[:2]} (T, B), got shape {x.shape} at column {col}")
-        _check_lstm_shapes(x.shape, w, r, b, ln_gain, ln_bias)
+    if x.data.ndim != 2 or not (0 < x.shape[0] <= run.a.shape[0]) \
+            or not 0 <= col < run.a.shape[1]:
+        raise ShapeError(f"lstm_layer: a (T, D) column of a batch run of "
+                         f"{run.a.shape[:2]} (T, B), got shape {x.shape} at column {col}")
+    _check_lstm_shapes(x.shape, w, r, b, ln_gain, ln_bias)
     t_len = x.shape[0]
     hs = run.hs[: t_len + 1, col]
     out = Tensor(hs[1:])
+    tape = active_tape()
     if tape is None:
         return out
     hh = r.shape[0]

@@ -31,7 +31,7 @@ from . import loss as losses
 from .alignment import FrameAlignment, collapse, short_pause_spans
 from .corpus import Utterance, corpus_hash
 from .errors import DegenerateUtterance, NumericsError, ShapeError
-from .model import Affine, TransducerModel, pad_batch, stack_frames
+from .model import Affine, TransducerModel, stack_frames
 from .numerics import Adam, Tape, Tensor
 
 
@@ -255,14 +255,13 @@ def pretrain_encoder_ce(model: TransducerModel, corpus: list[Utterance], *, spac
 
 def _frame_accuracy(model: TransducerModel, fc: Affine, items, batch_size: int) -> float:
     """Share of frames whose argmax class is the alignment label. Each chunk
-    of ``batch_size`` items is right-padded into one time-major batch and
-    encoded once, untaped; a chunk, not the whole corpus, bounds the padded
-    batch's memory."""
+    of ``batch_size`` items is encoded once as one ``encode_batch``, untaped;
+    a chunk, not the whole corpus, bounds the padded batch's memory."""
     hits = total = 0
     for start in range(0, len(items), batch_size):
         chunk = items[start : start + batch_size]
-        batch = pad_batch([stacked.data for _, stacked, _ in chunk])
-        pred = np.argmax(fc.apply(Tensor(model.encode_frames(batch))).data, axis=-1)
+        h = model.encode_batch([stacked for _, stacked, _ in chunk])[-1].h
+        pred = np.argmax(fc.apply(Tensor(h)).data, axis=-1)
         for col, (_, _, fa) in enumerate(chunk):
             hits += int((pred[: len(fa.labels), col] == fa.labels).sum())
             total += len(fa.labels)

@@ -128,6 +128,31 @@ def test_truncated_checkpoint_names_file_and_line(tmp_path, config_path, capsys)
     assert err.startswith(f"error: {ckpt}: ") and "line 1 column" in err, err
 
 
+CHECKPOINT_HEAD = {"format": "rnnt-lab-checkpoint", "version": 1, "config": {}}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "not a rnnt-lab-checkpoint file"),
+    ({**CHECKPOINT_HEAD, "tensors": {"embedding": {"shape": [3], "data": [1, 2]}}},
+     "tensor 'embedding': cannot reshape array of size 2 into shape (3,)"),
+    ({**CHECKPOINT_HEAD, "tensors": {"embedding": [1, 2]}},
+     "tensor 'embedding': need a {shape, data} object"),
+    ({**CHECKPOINT_HEAD, "tensors": {"embedding": {"data": [1, 2]}}},
+     "tensor 'embedding': need a {shape, data} object"),
+    ({**CHECKPOINT_HEAD, "tensors": [1, 2]}, "'tensors' must be an object, got list"),
+], ids=["not-an-object", "data-short-of-shape", "record-not-an-object", "record-without-shape",
+        "tensors-not-an-object"])
+def test_malformed_checkpoint_is_one_error_line_naming_the_file(tmp_path, config_path, capsys,
+                                                                payload, message):
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps(payload))
+    rc = main(["decode", "--config", config_path, "--checkpoint", str(ckpt),
+               "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "n.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt}: {message}\n", err
+
+
 def test_corpus_line_missing_field_names_file_and_line(tmp_path, config_path, capsys):
     corpus = tmp_path / "bad.jsonl"
     corpus.write_text('\n{"id": "u0", "words": [], "transcript": []}\n')

@@ -97,8 +97,8 @@ def test_beam_on_model_width_one_equals_greedy(tiny_model):
     rng = np.random.default_rng(74)
     for _ in range(10):
         feats = Tensor(rng.normal(size=(4, 6)))
-        greedy = greedy_decode(tiny_model, feats)
-        best, _ = beam_decode(tiny_model, feats, beam_width=1)
+        greedy = greedy_decode(ModelDecoder(tiny_model, feats))
+        best, _ = beam_decode(ModelDecoder(tiny_model, feats), beam_width=1)
         assert best.prefix == greedy.prefix
 
 
@@ -141,9 +141,9 @@ def test_beam_prefix_merge_conserves_probability():
 def test_decoding_is_streaming_prefix_stable(tiny_model):
     rng = np.random.default_rng(76)
     feats = rng.normal(size=(6, 6))
-    full = greedy_decode(tiny_model, Tensor(feats))
+    full = greedy_decode(ModelDecoder(tiny_model, Tensor(feats)))
     for t in (2, 4):
-        part = greedy_decode(tiny_model, Tensor(feats[:t]))
+        part = greedy_decode(ModelDecoder(tiny_model, Tensor(feats[:t])))
         expected = [k for k, f in zip(full.prefix, full.emit_frames) if f < t]
         assert part.prefix == expected
 
@@ -356,12 +356,12 @@ def random_transducer(seed, layer_norm, prediction_layers=1):
 
 
 def check_against_oracle(model, feats, beam_width, cap):
-    best, nbest = beam_decode(model, Tensor(feats), beam_width=beam_width,
+    best, nbest = beam_decode(ModelDecoder(model, Tensor(feats)), beam_width=beam_width,
                               max_symbols_per_frame=cap)
     want = reference_beam(_ModelStepper(model, feats), beam_width, cap)
     assert_same_hyps(nbest, want, 1e-12)
     assert best == nbest[0]
-    greedy = greedy_decode(model, Tensor(feats), max_symbols_per_frame=cap)
+    greedy = greedy_decode(ModelDecoder(model, Tensor(feats)), max_symbols_per_frame=cap)
     assert_same_hyps([greedy], [reference_greedy(_ModelStepper(model, feats), cap)], 1e-12)
 
 
@@ -465,9 +465,10 @@ def test_evaluate_model_shared_decoder_matches_fresh_decoders(monkeypatch):
     fresh_delay = DelayStats()
     for utt, (utt_id, nbest), shared in zip(test, entries, shared_greedy):
         stacked = stack_frames(utt.features, model_cfg.stack_factor, model_cfg.stack_stride)
-        best, fresh_nbest = beam_decode(model, stacked, beam_width=cfg.beam_width,
+        best, fresh_nbest = beam_decode(ModelDecoder(model, stacked), beam_width=cfg.beam_width,
                                         max_symbols_per_frame=cfg.max_symbols_per_frame)
-        greedy = greedy_decode(model, stacked, max_symbols_per_frame=cfg.max_symbols_per_frame)
+        greedy = greedy_decode(ModelDecoder(model, stacked),
+                               max_symbols_per_frame=cfg.max_symbols_per_frame)
         assert utt_id == utt.utt_id
         assert_same_hyps(nbest, fresh_nbest, 1e-12)
         assert_same_hyps([shared], [greedy], 1e-12)

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rnnt_lab import (ModelConfig, ShapeError, Tape, Tensor, TransducerModel,
+from rnnt_lab import (ConfigError, ModelConfig, ShapeError, Tape, Tensor, TransducerModel,
                       grad_check, load_checkpoint, rnnt_loss, save_checkpoint,
                       stack_frames)
 from rnnt_lab import numerics as nm
@@ -228,7 +229,7 @@ def test_encoder_features_get_no_grad_but_layer_inputs_do(tiny_config):
 def test_inference_encoder_matches_taped_encode(tiny_model):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(5, 6))
-    assert np.allclose(tiny_model.encode_frames(x), tiny_model.encode(Tensor(x)).data, atol=1e-12)
+    assert np.array_equal(tiny_model.encode_frames(x), tiny_model.encode(Tensor(x)).data)
 
 
 @pytest.mark.parametrize("layer_norm", [False, True])
@@ -242,17 +243,14 @@ def test_encode_frames_batch_matches_per_utterance(layer_norm):
         p.data += rng.uniform(-0.3, 0.3, size=p.shape)  # nonzero biases and norm shifts
     lengths = [4, 1, 6]
     seqs = [rng.normal(size=(n, cfg.encoder_input_dim)) for n in lengths]
-    batch = np.zeros((max(lengths), len(seqs), cfg.encoder_input_dim))
-    for col, seq in enumerate(seqs):
-        batch[: len(seq), col] = seq
-    out = model.encode_frames(batch)
+    out = model.encode_batch([Tensor(seq) for seq in seqs])[-1].h
     assert out.shape == (max(lengths), len(seqs), cfg.hidden)
     for col, seq in enumerate(seqs):
         assert np.abs(out[: len(seq), col] - model.encode_frames(seq)).max() <= 1e-12
         assert np.abs(out[: len(seq), col] - model.encode(Tensor(seq)).data).max() <= 1e-12
 
 
-@pytest.mark.parametrize("shape", [(0, 6), (0, 2, 6), (3, 0, 6), (6,), (1, 1, 1, 6)])
+@pytest.mark.parametrize("shape", [(0, 6), (0, 2, 6), (3, 0, 6), (6,), (1, 1, 1, 6), (4, 2, 6)])
 def test_encode_frames_rejects_empty_or_wrong_rank(tiny_model, shape):
     with pytest.raises(ShapeError, match="encode_frames"):
         tiny_model.encode_frames(np.zeros(shape))
@@ -267,6 +265,23 @@ def test_checkpoint_roundtrip_bit_exact(tiny_model, tmp_path):
                                             loaded.named_parameters()):
         assert name_a == name_b
         assert np.array_equal(p_a.data, p_b.data)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("shape", lambda shape: shape[::-1], "parameter embedding: stored shape"),
+    ("data", lambda data: [math.nan] + data[1:], "tensor 'embedding': non-finite value"),
+], ids=["shape-of-another-model", "nan"])
+def test_checkpoint_bad_tensor_values_name_file_and_tensor(tiny_model, tmp_path, field, value,
+                                                           message):
+    path = tmp_path / "model.json"
+    save_checkpoint(path, tiny_model)
+    payload = json.loads(path.read_text())
+    record = payload["tensors"]["embedding"]
+    record[field] = value(record[field])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: {message}"), exc.value
 
 
 def test_checkpoint_stable_across_saves(tiny_model, tmp_path):

@@ -159,11 +159,18 @@ def lstm_inputs(rng, t_len, layer_norm, d=3, hh=4):
     return [x, w, r, b, *ln]
 
 
+def lstm_replay(params):
+    """lstm_layer over (T, D) params[0], replayed from its own lstm_forward run
+    as a batch of one."""
+    x, *weights = params
+    return nm.lstm_layer(*params, run=nm.lstm_forward(x.data[:, None], *weights), col=0)
+
+
 def lstm_loss(params, seed):
-    """f() for grad_check: sum(seed * lstm_layer(*params)), backward on a fresh tape."""
+    """f() for grad_check: sum(seed * lstm_layer(...)), forward and backward on a fresh tape."""
     def f():
         with Tape() as tape:
-            h = nm.lstm_layer(*params)
+            h = lstm_replay(params)
             tape.backward(h, seed=seed)
         return float((h.data * seed).sum())
     return f
@@ -190,9 +197,9 @@ def test_lstm_layer_matches_per_step_reference(layer_norm):
     inputs = lstm_inputs(rng, 9, layer_norm, d=5, hh=6)
     want = reference_lstm(*(t.data for t in inputs))
     with Tape() as tape:
-        taped = nm.lstm_layer(*inputs)
+        taped = lstm_replay(inputs)
     assert len(tape.records) == 1
-    untaped = nm.lstm_layer(*inputs)
+    untaped = lstm_replay(inputs)
     assert np.abs(taped.data - want).max() <= 1e-12
     assert np.array_equal(untaped.data, taped.data)
 
@@ -208,9 +215,9 @@ def test_lstm_layer_matches_per_step_oracle_property(seed, t_len, d, hh, layer_n
     for p in inputs:
         p.grad = np.zeros_like(p.data)  # a grad buffer on x asks for dX
     with Tape() as tape:
-        taped = nm.lstm_layer(*inputs)
+        taped = lstm_replay(inputs)
         tape.backward(taped, seed=dh)
-    untaped = nm.lstm_layer(*inputs)
+    untaped = lstm_replay(inputs)
     assert np.abs(taped.data - want).max() <= 1e-12
     assert np.array_equal(untaped.data, taped.data)
     for p, want_grad in zip(inputs, want_grads):
@@ -227,25 +234,29 @@ def test_untaped_batch_matches_per_sequence_calls(layer_norm):
     batch = rng.uniform(-1, 1, size=(max(lengths), len(seqs), 5))
     for col, seq in enumerate(seqs):
         batch[: len(seq), col] = seq
-    out = nm.lstm_layer(Tensor(batch), *params).data
+    out = nm.lstm_forward(batch, *params).h
     assert out.shape == (max(lengths), len(seqs), 6)
     for col, seq in enumerate(seqs):
-        want = nm.lstm_layer(Tensor(seq), *params).data
+        want = nm.lstm_forward(seq[:, None], *params).h[:, 0]
         assert np.abs(out[: len(seq), col] - want).max() <= 1e-12
 
 
 def test_taped_batch_raises():
+    """A (T, B, D) input is rejected by the column check."""
     rng = np.random.default_rng(44)
     x, *params = lstm_inputs(rng, 4, layer_norm=False)
-    with Tape() as tape, pytest.raises(ShapeError, match="untaped only"):
-        nm.lstm_layer(Tensor(x.data.reshape(2, 2, 3)), *params)
+    batch = x.data.reshape(2, 2, 3)
+    run = nm.lstm_forward(batch, *params)
+    with Tape() as tape, pytest.raises(ShapeError, match="column of a batch run"):
+        nm.lstm_layer(Tensor(batch), *params, run=run, col=0)
     assert tape.records == []
 
 
 def replayed_columns(params, seqs, dhs, batch=None):
     """Per sequence: the output and the grads of x and every param after one
     taped lstm_layer call and its backward. With ``batch`` (the sequences
-    right-padded), every call replays its column of one lstm_forward run."""
+    right-padded), every call replays its column of one lstm_forward run;
+    without, each sequence replays its own run as a batch of one."""
     run = None if batch is None else nm.lstm_forward(batch, *params)
     results = []
     for col, (seq, dh) in enumerate(zip(seqs, dhs)):
@@ -253,7 +264,10 @@ def replayed_columns(params, seqs, dhs, batch=None):
         for p in params:
             p.zero_grad()
         with Tape() as tape:
-            out = nm.lstm_layer(x, *params, run=run, col=col)
+            if batch is None:
+                out = lstm_replay([x, *params])
+            else:
+                out = nm.lstm_layer(x, *params, run=run, col=col)
             tape.backward(out, seed=dh)
         assert [rec.name for rec in tape.records] == ["lstm_layer"]
         results.append([out.data, x.grad] + [p.grad for p in params])

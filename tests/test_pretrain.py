@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rnnt_lab import (FrameAlignment, ModelConfig, ShapeError, TableModel,
+from rnnt_lab import (FrameAlignment, ModelConfig, ModelDecoder, ShapeError, TableModel,
                       TransducerModel, build_y1, build_y2, build_y3,
                       greedy_decode, label_logits, stack_frames)
 from rnnt_lab import NumericsError, Tensor, pretrain
@@ -224,7 +224,7 @@ def test_whole_network_pretraining_overfit_then_decode():
                                              epochs=250, lr=5e-3, seed=cfg.seed)
     assert report.skipped == 0
     stacked = stack_frames(utt.features, cfg.model.stack_factor, cfg.model.stack_stride)
-    hyp = greedy_decode(model, stacked)
+    hyp = greedy_decode(ModelDecoder(model, stacked))
     assert hyp.prefix == utt.transcript
 
 
@@ -353,9 +353,10 @@ def test_batched_forward_trains_as_per_utterance_forward(schedule, layer_norm, m
     base = TransducerModel(cfg.model, seed=cfg.seed)
     batched = base.clone()
     got = SCHEDULES[schedule](batched, train, cfg)
-    # without runs, encode and predict run each utterance's own forward pass
-    monkeypatch.setattr(TransducerModel, "encode_batch", lambda self, frames: None)
-    monkeypatch.setattr(TransducerModel, "predict_batch", lambda self, prefixes: None)
+    # encode and predict drop the minibatch runs: each utterance runs its own forward pass
+    encode, predict = TransducerModel.encode, TransducerModel.predict
+    monkeypatch.setattr(TransducerModel, "encode", lambda self, x, runs, col: encode(self, x))
+    monkeypatch.setattr(TransducerModel, "predict", lambda self, y, runs, col: predict(self, y))
     single = base.clone()
     want = SCHEDULES[schedule](single, train, cfg)
     assert np.abs(np.subtract(got, want)).max() <= 1e-12 * np.abs(want).max()
@@ -400,7 +401,9 @@ def test_encoder_ce_touches_only_encoder():
 
 
 def test_encoder_ce_frame_accuracy_matches_per_utterance_recomputation(monkeypatch):
-    cfg = small_experiment_config(num_train=11)
+    model_cfg = ModelConfig(input_dim=4, stack_factor=2, stack_stride=2, encoder_layers=2,
+                            prediction_layers=1, hidden=16, projection=8, vocab_size=6)
+    cfg = small_experiment_config(model=model_cfg, num_train=11)  # the top layer is scored
     train, _ = gen_corpus(cfg)
     heads = []
 
