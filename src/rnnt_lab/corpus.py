@@ -71,7 +71,7 @@ def save_corpus(path, utterances: list[Utterance]) -> None:
 
 def check_utterance(utt: Utterance, model: ModelConfig, space_id: int | None = None) -> None:
     """ConfigError unless ``utt`` fits ``model``: finite (N, input_dim) features,
-    transcript and word-piece ids in [0, vocab_size), word spans in order,
+    transcript and word-piece ids in [0, vocab_size), int word-span bounds in order,
     without overlap and within the ceil(N / stack_stride) encoder frames, and a
     transcript that spells the words; with ``space_id``, every transcript token
     outside the words is that space token. A word with more pieces than frames
@@ -85,12 +85,15 @@ def check_utterance(utt: Utterance, model: ModelConfig, space_id: int | None = N
     for where, ids in [("transcript", utt.transcript),
                        *((f"word '{w.word}'", w.pieces) for w in utt.words)]:
         for k in ids:
-            if not (isinstance(k, int) and 0 <= k < model.vocab_size):
-                raise ConfigError(f"{where}: token id {k!r} outside the model's "
-                                  f"vocab_size {model.vocab_size}")
+            if not (_is_int(k) and 0 <= k < model.vocab_size):
+                raise ConfigError(f"{where}: token id {k!r} is not an int in "
+                                  f"[0, {model.vocab_size}), the model's vocab_size")
     t_len = utt.encoder_frames(model.stack_stride)
     prev_end = 0
     for w in utt.words:
+        if not (_is_int(w.start_frame) and _is_int(w.end_frame)):
+            raise ConfigError(f"word '{w.word}': span bounds {w.start_frame!r}, "
+                              f"{w.end_frame!r} must be int")
         if w.start_frame < prev_end:
             raise ConfigError(f"word '{w.word}' starts at frame {w.start_frame}, before "
                               f"the previous word's end {prev_end}")
@@ -104,6 +107,10 @@ def check_utterance(utt: Utterance, model: ModelConfig, space_id: int | None = N
         raise ConfigError(str(exc)) from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_corpus(path, model: ModelConfig | None = None,
                 space_id: int | None = None) -> list[Utterance]:
     """Read a JSONL corpus; with ``model``, also check each utterance against
@@ -115,7 +122,8 @@ def load_corpus(path, model: ModelConfig | None = None,
                 continue
             try:
                 utt = utterance_from_json(line)
-            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            except (KeyError, TypeError, ValueError, ShapeError) as exc:
+                # ValueError covers bad JSON, ShapeError an empty or pieceless word span
                 raise ConfigError(f"{path}:{lineno}: malformed utterance ({exc!r})") from exc
             if model is not None:
                 try:

@@ -228,12 +228,7 @@ class LstmStack:
             z = x_rows @ layer.w.data
             z += h @ layer.r.data
             z += layer.b.data
-            scale = nm.lstm_gate_scale(layer.hidden)
-            if layer.layer_norm:
-                ln = (layer.ln_gain.data * scale, layer.ln_bias.data * scale)
-            else:
-                z *= scale
-                ln = None
+            ln = (layer.ln_gain.data, layer.ln_bias.data) if layer.layer_norm else None
             h, c, _ = nm.lstm_cell(z, c, ln=ln)
             new_state.append((h, c))
             x_rows = h
@@ -350,10 +345,7 @@ class TransducerModel:
         jp = self.joint_params
         if h_enc.shape[1] != jp.w_enc.shape[0] or h_pre.shape[1] != jp.w_pre.shape[0]:
             raise ShapeError(f"joint: widths {h_enc.shape} / {h_pre.shape} do not match projections")
-        a = nm.matmul(h_enc, jp.w_enc)
-        b = nm.matmul(h_pre, jp.w_pre)
-        s = nm.add_row(nm.outer_add(a, b), jp.b)
-        return nm.affine_last(s, jp.w_out, jp.b_out)
+        return nm.joint(h_enc, h_pre, jp.w_enc, jp.w_pre, jp.b, jp.w_out, jp.b_out)
 
     def forward(self, features, targets: list[int]) -> Tensor:
         """Stacked features (or raw (T, D) Tensor) + targets -> joint logits."""

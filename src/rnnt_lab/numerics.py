@@ -43,9 +43,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={tuple(self.data.shape)})"
 
@@ -108,35 +105,6 @@ def _record(name: str, inputs: tuple, output: Tensor, backward: Callable) -> Non
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Strict 2-D matrix product; dA = dC @ B^T, dB = A^T @ dC."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def backward(g):
-        a.ensure_grad()[...] += g @ b.data.T
-        b.ensure_grad()[...] += a.data.T @ g
-
-    _record("matmul", (a, b), out, backward)
-    return out
-
-
-def add_row(a: Tensor, bias: Tensor) -> Tensor:
-    """Add a length-n vector to every row of a (..., n) tensor."""
-    if bias.data.ndim != 1 or a.shape[-1] != bias.shape[0]:
-        raise ShapeError(f"add_row: shapes {a.shape} and {bias.shape} incompatible")
-    out = Tensor(a.data + bias.data)
-    lead = tuple(range(a.data.ndim - 1))
-
-    def backward(g):
-        a.ensure_grad()[...] += g
-        bias.ensure_grad()[...] += g.sum(axis=lead) if lead else g
-
-    _record("add_row", (a, bias), out, backward)
-    return out
-
-
 def embed_prefix(table: Tensor, ids: Sequence[int]) -> Tensor:
     """An all-zero start row followed by the table rows of ``ids``: (len(ids) + 1, n)."""
     idx = np.asarray(ids, dtype=np.int64).reshape(-1)
@@ -150,20 +118,6 @@ def embed_prefix(table: Tensor, ids: Sequence[int]) -> Tensor:
         np.add.at(table.ensure_grad(), idx, g[1:])
 
     _record("embed_prefix", (table,), out, backward)
-    return out
-
-
-def outer_add(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise row sums: (T, n) + (U, n) -> (T, U, n)."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"outer_add: shapes {a.shape} and {b.shape} incompatible")
-    out = Tensor(a.data[:, None, :] + b.data[None, :, :])
-
-    def backward(g):
-        a.ensure_grad()[...] += g.sum(axis=1)
-        b.ensure_grad()[...] += g.sum(axis=0)
-
-    _record("outer_add", (a, b), out, backward)
     return out
 
 
@@ -183,13 +137,40 @@ def affine_last(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
+def joint(h_enc: Tensor, h_pre: Tensor, w_enc: Tensor, w_pre: Tensor, b: Tensor,
+          w_out: Tensor, b_out: Tensor) -> Tensor:
+    """The joint network's (T, U+1, K) lattice of logits from (T, H) encoder
+    and (U+1, H') prediction rows: s = (h_enc @ w_enc)[:, None] +
+    (h_pre @ w_pre)[None] + b, then s @ w_out + b_out. One record; only the
+    (T, U+1, P) hidden lattice s is kept for backward."""
+    proj = w_enc.shape[-1]
+    if (h_enc.data.ndim != 2 or h_pre.data.ndim != 2 or w_out.data.ndim != 2
+            or w_enc.shape != (h_enc.shape[1], proj) or w_pre.shape != (h_pre.shape[1], proj)
+            or b.shape != (proj,) or w_out.shape[0] != proj or b_out.shape != (w_out.shape[1],)):
+        raise ShapeError(f"joint: shapes {h_enc.shape}, {h_pre.shape}, {w_enc.shape}, "
+                         f"{w_pre.shape}, {b.shape}, {w_out.shape}, {b_out.shape} incompatible")
+    s = (h_enc.data @ w_enc.data)[:, None] + (h_pre.data @ w_pre.data)[None]
+    s += b.data
+    out = Tensor(s @ w_out.data + b_out.data)
+    n_out = w_out.shape[1]
+
+    def backward(g):
+        gs = g @ w_out.data.T
+        w_out.ensure_grad()[...] += s.reshape(-1, proj).T @ g.reshape(-1, n_out)
+        b_out.ensure_grad()[...] += g.reshape(-1, n_out).sum(axis=0)
+        b.ensure_grad()[...] += gs.sum(axis=(0, 1))
+        g_enc, g_pre = gs.sum(axis=1), gs.sum(axis=0)
+        h_pre.ensure_grad()[...] += g_pre @ w_pre.data.T
+        w_pre.ensure_grad()[...] += h_pre.data.T @ g_pre
+        h_enc.ensure_grad()[...] += g_enc @ w_enc.data.T
+        w_enc.ensure_grad()[...] += h_enc.data.T @ g_enc
+
+    _record("joint", (h_enc, h_pre, w_enc, w_pre, b, w_out, b_out), out, backward)
+    return out
+
+
 def log_softmax_array(z: np.ndarray) -> np.ndarray:
     """Max-shifted log softmax of a plain array over its last axis (untaped)."""
-    if z.ndim == 1:
-        # decoding scores one joint row at a time; keepdims reductions would
-        # cost ~15% more per call there
-        shifted = z - z.max()
-        return shifted - np.log(np.exp(shifted).sum())
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -220,8 +201,7 @@ def lstm_gate_scale(hh: int) -> np.ndarray:
 
     With s this vector, the gates are s * tanh(s * z) + (1 - s), because
     sigmoid(v) = 0.5 * tanh(v / 2) + 0.5: one tanh over the packed row gives
-    all four. Halving is exact in floating point, so it folds into the input
-    projection and the recurrent weights (or the layer-norm gain and bias).
+    all four. ``lstm_cell`` alone applies it, to the raw pre-activation z.
     """
     s = np.full(4 * hh, 0.5)
     s[2 * hh : 3 * hh] = 1.0
@@ -240,23 +220,24 @@ def lstm_cell(z: np.ndarray, c: np.ndarray, c_out: np.ndarray | None = None,
               h_out: np.ndarray | None = None, tc_out: np.ndarray | None = None, ln=None):
     """One LSTM step on plain arrays, in place; the only LSTM cell, for training and decoding.
 
-    ``z`` is the (..., 4H) pre-activation x @ W + h @ R + b, gates packed
-    i, f, g, o, already scaled by ``lstm_gate_scale``; with ``ln`` = (gain,
-    bias) it is unscaled and layer-normalized here, with gain and bias
-    carrying the scale instead. ``c`` is the (..., H) previous cell state.
+    ``z`` is the raw (..., 4H) pre-activation x @ W + h @ R + b, gates
+    packed i, f, g, o; with ``ln`` = (gain, bias) it is layer-normalized
+    first. ``c`` is the (..., H) previous cell state.
     ``z`` is overwritten with the gate activations, and the new cell state,
     hidden state and tanh(cell state) are written to ``c_out``, ``h_out`` and
     ``tc_out`` (new arrays where None). Returns (h, c, ln_stats): ln_stats is
     the layer norm's (xhat, inv) for BPTT, None without layer norm.
     """
     hh = c.shape[-1]
+    scale = lstm_gate_scale(hh)
     ln_stats = None
     if ln is None:
-        np.tanh(z, out=z)
+        z *= scale
     else:
         y, *ln_stats = _layer_norm_forward(z, *ln)
-        np.tanh(y, out=z)
-    z *= lstm_gate_scale(hh)
+        np.multiply(y, scale, out=z)
+    np.tanh(z, out=z)
+    z *= scale
     z += _lstm_gate_shift(hh)
     i, f, g, o = z.reshape(*z.shape[:-1], 4, hh).swapaxes(0, -2)
     c_out = np.multiply(f, c, out=c_out)
@@ -306,17 +287,13 @@ def lstm_forward(x: np.ndarray, w: Tensor, r: Tensor, b: Tensor,
     _check_lstm_shapes(x.shape, w, r, b, ln_gain, ln_bias)
     t_len, batch, d_in = x.shape
     hh = r.shape[0]
-    scale = lstm_gate_scale(hh)
     # (T, B, 4H) pre-activations from the input side; each step adds h @ R
     # to its rows, which the cell then overwrites with the gate activations
     a = (x.reshape(-1, d_in) @ w.data).reshape(t_len, batch, 4 * hh)
     a += b.data
-    xhat = inv = None
-    if ln_gain is None:
-        a *= scale
-        r_step, ln = r.data * scale, None
-    else:
-        r_step, ln = r.data, (ln_gain.data * scale, ln_bias.data * scale)
+    xhat = inv = ln = None
+    if ln_gain is not None:
+        ln = (ln_gain.data, ln_bias.data)
         xhat = np.empty(a.shape)
         inv = np.empty((t_len, batch, 1))
     hs = np.zeros((t_len + 1, batch, hh))
@@ -326,7 +303,7 @@ def lstm_forward(x: np.ndarray, w: Tensor, r: Tensor, b: Tensor,
     if batch == 1:  # one sequence steps (4H,) rows: a GEMV costs less than a (1, H) GEMM
         steps, tc = [v[:, 0] for v in steps], tc[0]
     for t, (z, h, c, c_new, h_new) in enumerate(zip(*steps)):
-        z += h @ r_step
+        z += h @ r.data
         ln_stats = lstm_cell(z, c, c_new, h_new, tc, ln)[2]
         if ln is not None:
             xhat[t], inv[t] = ln_stats

@@ -263,6 +263,12 @@ CORPUS_DEFECTS = {
                          "ends at frame 1000000, past the 12 encoder frames"),
     "span-overlap": (lambda r: r["words"][1].update(start=5), "before the previous word's end 6"),
     "transcript-spelling": (lambda r: r["transcript"].reverse(), "does not spell word"),
+    "transcript-bool-id": (lambda r: r["transcript"].__setitem__(0, True), "token id True"),
+    "piece-bool-id": (lambda r: r["words"][0]["pieces"].__setitem__(0, True), "token id True"),
+    "span-float-start": (lambda r: r["words"][0].update(start=0.5), "span bounds 0.5, 6 must be int"),
+    "span-float-end": (lambda r: r["words"][1].update(end=11.0), "span bounds 9, 11.0 must be int"),
+    "span-empty": (lambda r: r["words"][1].update(end=9), "empty range [9, 9)"),
+    "word-no-pieces": (lambda r: r["words"][0].update(pieces=[]), "no pieces"),
 }
 
 

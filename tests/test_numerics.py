@@ -9,39 +9,6 @@ from rnnt_lab import Adam, NumericsError, ShapeError, Tape, Tensor, grad_check, 
 from rnnt_lab import numerics as nm
 
 
-def test_matmul_identity():
-    eye = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    v = Tensor([[3.0], [4.0]])
-    assert np.array_equal(nm.matmul(eye, v).data, [[3.0], [4.0]])
-
-
-def test_matmul_hand_computed():
-    out = nm.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-    assert out.data.tolist() == [[11.0]]
-
-
-def test_matmul_shape_mismatch_reports_both_shapes():
-    with pytest.raises(ShapeError) as err:
-        nm.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-    assert "(2, 3)" in str(err.value)
-
-
-def test_matmul_gradient_matches_finite_differences():
-    rng = np.random.default_rng(42)
-    a = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    b = Tensor(rng.uniform(-1, 1, size=(4, 2)))
-    w = rng.uniform(-1, 1, size=(3, 2))  # fixed projection to a scalar
-
-    def f():
-        with Tape() as tape:
-            c = nm.matmul(a, b)
-            loss = float((c.data * w).sum())
-            tape.backward(c, seed=w)
-        return loss
-
-    assert grad_check(f, [a, b], eps=1e-5) < 1e-6
-
-
 def test_log_softmax_uniform():
     out = nm.log_softmax_array(np.array([0.0, 0.0]))
     assert np.allclose(out, [-math.log(2)] * 2, atol=1e-15)
@@ -87,10 +54,11 @@ def test_logsumexp_empty_rejected():
 
 def test_grad_check_quadratic():
     x = Tensor([[3.0]])
+    zero = Tensor(np.zeros(1))
 
     def f():
         with Tape() as tape:
-            y = nm.matmul(x, x)
+            y = nm.affine_last(x, x, zero)
             tape.backward(y)
         return float(y.data[0, 0])
 
@@ -315,20 +283,20 @@ def test_replay_outside_the_run_raises(t_len, col):
 
 
 # a fixed seed per op, so a failing case replays exactly
-PRIMITIVE_SEEDS = {"add_row": 2201, "outer_add": 2202, "affine_last": 2203, "embed_prefix": 2204}
+PRIMITIVE_SEEDS = {"joint": 2201, "affine_last": 2203, "embed_prefix": 2204}
 
 
 @pytest.mark.parametrize("op_name", list(PRIMITIVE_SEEDS))
 def test_primitive_gradients_random_inputs(op_name):
     rng = np.random.default_rng(PRIMITIVE_SEEDS[op_name])
     a = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    b = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    row = Tensor(rng.uniform(-1, 1, size=4))
     w34 = Tensor(rng.uniform(-1, 1, size=(4, 3)))
     bias3 = Tensor(rng.uniform(-1, 1, size=3))
+    # h_enc (T, H), h_pre (U+1, H'), w_enc, w_pre, b, w_out, b_out
+    joint_inputs = [Tensor(rng.uniform(-1, 1, size=shape)) for shape in
+                    [(3, 4), (2, 5), (4, 3), (5, 3), 3, (3, 2), 2]] if op_name == "joint" else []
     builders = {
-        "add_row": (lambda: nm.add_row(a, row), [a, row]),
-        "outer_add": (lambda: nm.outer_add(a, b), [a, b]),
+        "joint": (lambda: nm.joint(*joint_inputs), joint_inputs),
         "affine_last": (lambda: nm.affine_last(a, w34, bias3), [a, w34, bias3]),
         "embed_prefix": (lambda: nm.embed_prefix(a, [2, 0, 2]), [a]),
     }
@@ -345,10 +313,19 @@ def test_primitive_gradients_random_inputs(op_name):
     assert grad_check(f, params, eps=1e-5) < 1e-4
 
 
+def test_joint_primitive_rejects_width_mismatch():
+    inputs = [Tensor(np.zeros(shape)) for shape in
+              [(3, 4), (2, 5), (4, 3), (4, 3), 3, (3, 2), 2]]  # w_pre has 4 rows, h_pre 5 columns
+    with Tape() as tape, pytest.raises(ShapeError, match=r"joint: shapes .*\(4, 3\)"):
+        nm.joint(*inputs)
+    assert tape.records == []
+
+
 def test_backward_accumulates_shared_parameters():
     x = Tensor([[2.0]])
+    zero = Tensor(np.zeros(1))
     with Tape() as tape:
-        y = nm.matmul(nm.matmul(x, x), x)  # y = x^3 from three uses of x, dy/dx = 3x^2 = 12
+        y = nm.affine_last(nm.affine_last(x, x, zero), x, zero)  # y = x^3 from three uses of x, dy/dx = 3x^2 = 12
         tape.backward(y)
     assert x.grad[0, 0] == pytest.approx(12.0)
 
@@ -362,7 +339,7 @@ def test_backward_deterministic_after_zeroing():
         a.zero_grad()
         b.zero_grad()
         with Tape() as tape:
-            out = nm.matmul(a, b)
+            out = nm.affine_last(a, b, Tensor(np.zeros(2)))
             tape.backward(out, seed=np.ones_like(out.data))
         return a.grad.copy(), b.grad.copy()
 
@@ -381,11 +358,12 @@ def test_adam_clips_by_global_norm():
 
 def test_adam_reduces_quadratic():
     p = Tensor([[5.0]])
+    zero = Tensor(np.zeros(1))
     opt = Adam([p], lr=0.1)
     for _ in range(300):
         opt.zero_grad()
         with Tape() as tape:
-            y = nm.matmul(p, p)
+            y = nm.affine_last(p, p, zero)
             tape.backward(y)
         opt.step()
     assert abs(p.data[0, 0]) < 1e-2
