@@ -282,8 +282,11 @@ def test_replay_outside_the_run_raises(t_len, col):
     assert tape.records == []
 
 
-# a fixed seed per op, so a failing case replays exactly
-PRIMITIVE_SEEDS = {"joint": 2201, "affine_last": 2203, "embed_prefix": 2204}
+# a fixed seed per op, so a failing case replays exactly; "add_row" and "outer_add"
+# check the joint by the inputs of its bias row and of its pairwise sum alone
+PRIMITIVE_SEEDS = {"add_row": 2201, "outer_add": 2202, "affine_last": 2203, "embed_prefix": 2204,
+                   "joint": 2205}
+JOINT_OPS = ("add_row", "outer_add", "joint")
 
 
 @pytest.mark.parametrize("op_name", list(PRIMITIVE_SEEDS))
@@ -294,8 +297,10 @@ def test_primitive_gradients_random_inputs(op_name):
     bias3 = Tensor(rng.uniform(-1, 1, size=3))
     # h_enc (T, H), h_pre (U+1, H'), w_enc, w_pre, b, w_out, b_out
     joint_inputs = [Tensor(rng.uniform(-1, 1, size=shape)) for shape in
-                    [(3, 4), (2, 5), (4, 3), (5, 3), 3, (3, 2), 2]] if op_name == "joint" else []
+                    [(3, 4), (2, 5), (4, 3), (5, 3), 3, (3, 2), 2]] if op_name in JOINT_OPS else []
     builders = {
+        "add_row": (lambda: nm.joint(*joint_inputs), joint_inputs[4:5]),
+        "outer_add": (lambda: nm.joint(*joint_inputs), joint_inputs[:2]),
         "joint": (lambda: nm.joint(*joint_inputs), joint_inputs),
         "affine_last": (lambda: nm.affine_last(a, w34, bias3), [a, w34, bias3]),
         "embed_prefix": (lambda: nm.embed_prefix(a, [2, 0, 2]), [a]),
