@@ -3,14 +3,14 @@ utterance (alignment 'A A A B B s C C', transcript 'A B s C') and decode
 the decodable one to show it reproduces the transcript.
 """
 
-from rnnt_lab import (FrameAlignment, TableModel, build_y1, build_y2, build_y3,
-                      greedy_decode, label_logits)
+from rnnt_lab import (TableModel, build_y1, build_y2, build_y3, greedy_decode,
+                      label_logits)
 
 SPACE, A, B, C = 0, 1, 2, 3
 BLANK = 4
 NAMES = {SPACE: "s", A: "A", B: "B", C: "C", BLANK: "Φ", None: "."}
 
-fa = FrameAlignment(labels=[A, A, A, B, B, SPACE, C, C])
+fa = [A, A, A, B, B, SPACE, C, C]
 tokens = [A, B, SPACE, C]
 
 

@@ -7,8 +7,8 @@ tensors for pre-training, frame-synchronous decoders with emission-delay
 analysis, and a synthetic-corpus experiment harness.
 """
 
-from .alignment import (FrameAlignment, WordSpan, allocate_frames,
-                        build_frame_alignment, collapse, short_pause_spans)
+from .alignment import (WordSpan, allocate_frames, build_frame_alignment, collapse,
+                        short_pause_spans)
 from .corpus import Utterance, load_corpus, piece_word_map, save_corpus
 from .decoding import (DelayStats, Hypothesis, ModelDecoder, TableModel,
                        beam_decode, greedy_decode, measure_delay)

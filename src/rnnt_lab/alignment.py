@@ -1,4 +1,4 @@
-"""Word-level alignment spans -> frame-level token targets.
+"""Word-level alignment spans -> the frame alignment: one token id per encoder frame.
 
 Frames inside a word are divided equally among its pieces (earlier pieces
 take the remainder); frames outside every span carry the space token. A word
@@ -9,7 +9,7 @@ so the caller can drop it. Short pauses are maximal space runs of at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateUtterance, ShapeError
 
@@ -35,13 +35,6 @@ class WordSpan:
         return self.end_frame - self.start_frame
 
 
-@dataclass
-class FrameAlignment:
-    """One token id per encoder frame."""
-
-    labels: list[int] = field(default_factory=list)
-
-
 def allocate_frames(span: WordSpan) -> list[int]:
     """Per-piece frame counts: equal split, ceil-first, summing to the span length."""
     n_frames = span.num_frames
@@ -53,8 +46,9 @@ def allocate_frames(span: WordSpan) -> list[int]:
     return [base + 1 if i < rem else base for i in range(n_pieces)]
 
 
-def build_frame_alignment(spans: list[WordSpan], total_frames: int, space_id: int) -> FrameAlignment:
-    """Label every frame: pieces inside spans, the space token everywhere else."""
+def build_frame_alignment(spans: list[WordSpan], total_frames: int, space_id: int) -> list[int]:
+    """The frame alignment: one token id per encoder frame, pieces inside
+    spans and the space token everywhere else."""
     if total_frames < 1:
         raise ShapeError("build_frame_alignment: need at least one frame")
     ordered = sorted(spans, key=lambda s: s.start_frame)
@@ -71,14 +65,14 @@ def build_frame_alignment(spans: list[WordSpan], total_frames: int, space_id: in
         for piece, count in zip(span.pieces, allocate_frames(span)):
             labels[frame : frame + count] = [piece] * count
             frame += count
-    return FrameAlignment(labels=labels)
+    return labels
 
 
-def short_pause_spans(fa: FrameAlignment, space_id: int, max_len: int = 2) -> list[tuple[int, int]]:
+def short_pause_spans(labels: list[int], space_id: int, max_len: int = 2) -> list[tuple[int, int]]:
     """Half-open ranges of maximal space runs no longer than max_len frames."""
     runs = []
     start = None
-    for t, label in enumerate(fa.labels + [None]):  # sentinel closes a trailing run
+    for t, label in enumerate(labels + [None]):  # sentinel closes a trailing run
         if label == space_id:
             if start is None:
                 start = t

@@ -29,7 +29,7 @@ class Utterance:
     def encoder_frames(self, stride: int) -> int:
         return -(-self.features.shape[0] // stride)
 
-    def frame_alignment(self, stride: int, space_id: int):
+    def frame_alignment(self, stride: int, space_id: int) -> list[int]:
         return build_frame_alignment(self.words, self.encoder_frames(stride), space_id)
 
 
@@ -116,14 +116,14 @@ def load_corpus(path, model: ModelConfig | None = None,
     """Read a JSONL corpus; with ``model``, also check each utterance against
     it (and its gap tokens against ``space_id``, when given)."""
     utterances = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # bytes, so a line that is not UTF-8 fails on its own
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                utt = utterance_from_json(line)
+                utt = utterance_from_json(line.decode())
             except (KeyError, TypeError, ValueError, ShapeError) as exc:
-                # ValueError covers bad JSON, ShapeError an empty or pieceless word span
+                # ValueError covers bad JSON or UTF-8, ShapeError an empty or pieceless word span
                 raise ConfigError(f"{path}:{lineno}: malformed utterance ({exc!r})") from exc
             if model is not None:
                 try:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pretrain as pt
-from .alignment import WordSpan, allocate_frames, collapse
+from .alignment import WordSpan, build_frame_alignment, collapse
 from .corpus import Utterance, corpus_hash, piece_word_map, save_corpus
 from .decoding import (DelayStats, ModelDecoder, beam_decode, greedy_decode, measure_delay,
                        write_delay_csv, write_nbest)
@@ -71,14 +71,16 @@ class ExperimentConfig:
             raise ConfigError("gap_choices and gap_weights must be nonempty and equal length")
         if abs(sum(self.gap_weights) - 1.0) > 1e-9:
             raise ConfigError("gap_weights must sum to 1")
-        if self.noise < 0:
-            raise ConfigError("noise must be non-negative")
         if not (0 <= self.space_id < self.model.vocab_size):
             raise ConfigError("space_id must be a vocabulary token")
-        for name, low in (("pretrain_epochs", 0), ("train_epochs", 0), ("batch_size", 1),
+        for name, low in (("num_train", 0), ("num_test", 0), ("noise", 0), ("grad_clip", 0),
+                          ("pretrain_epochs", 0), ("train_epochs", 0), ("batch_size", 1),
                           ("beam_width", 1), ("max_symbols_per_frame", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("learning_rate", "pretrain_lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         # every later reader sees canonical arm names only
         self.arms = tuple(_canonical_arms("arms", self.arms))
         by_arm = self.pretrain_epochs_by_arm
@@ -105,9 +107,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (ConfigError, json.JSONDecodeError) as exc:
+        except (ConfigError, ValueError) as exc:  # ValueError: bad JSON or bytes not UTF-8
             raise ConfigError(f"{path}: {exc}") from exc
 
     def config_hash(self) -> str:
@@ -132,7 +134,6 @@ def token_templates(cfg: ExperimentConfig) -> np.ndarray:
 def _gen_utterance(cfg: ExperimentConfig, templates: np.ndarray,
                    rng: np.random.Generator, utt_id: str) -> Utterance:
     content = [k for k in range(cfg.model.vocab_size) if k != cfg.space_id]
-    labels: list[int] = []
     spans: list[WordSpan] = []
     prev_token = None
     frame = 0
@@ -147,25 +148,18 @@ def _gen_utterance(cfg: ExperimentConfig, templates: np.ndarray,
             prev_token = piece
         word_len = sum(int(rng.integers(cfg.piece_frames[0], cfg.piece_frames[1] + 1))
                        for _ in pieces)
-        span = WordSpan(word="w" + "_".join(str(p) for p in pieces),
-                        pieces=pieces, start_frame=frame, end_frame=frame + word_len)
-        # render pieces exactly as the equal-allocation rule will label them,
-        # so word-level spans are a faithful ground truth for the features
-        for piece, count in zip(pieces, allocate_frames(span)):
-            labels.extend([piece] * count)
+        spans.append(WordSpan(word="w" + "_".join(str(p) for p in pieces),
+                              pieces=pieces, start_frame=frame, end_frame=frame + word_len))
         frame += word_len
-        spans.append(span)
         if w < n_words - 1:
             gap = int(rng.choice(cfg.gap_choices, p=cfg.gap_weights))
             if gap > 0:
-                labels.extend([cfg.space_id] * gap)
                 frame += gap
                 prev_token = cfg.space_id
-    stride = cfg.model.stack_stride
-    n_raw = frame * stride
-    raw = np.empty((n_raw, cfg.model.input_dim))
-    for n in range(n_raw):
-        raw[n] = templates[labels[min(n // stride, frame - 1)]]
+    # features render the frame alignment itself, so the word spans are a
+    # faithful ground truth for them; each encoder frame covers stride raw rows
+    labels = build_frame_alignment(spans, frame, cfg.space_id)
+    raw = templates[np.repeat(labels, cfg.model.stack_stride)]
     if cfg.noise > 0:
         raw += cfg.noise * rng.standard_normal(raw.shape)
     return Utterance(utt_id=utt_id, features=raw, words=spans,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import numbers
+import sys
 import typing
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -79,12 +80,14 @@ def reject_unknown_keys(cls, d: dict) -> None:
 def check_field_types(obj) -> None:
     """ConfigError naming the first field of dataclass ``obj`` whose value
     does not match its annotation (int, float, bool, str, a dataclass, or a
-    tuple or dict of those); a float field takes an int, no number field a bool."""
+    tuple or dict of those); a float field takes an int but no NaN or infinity,
+    no number field a bool."""
     hints = _type_hints(type(obj))
     for f in fields(obj):
         value, hint = getattr(obj, f.name), hints[f.name]
         if not _has_type(value, hint):
             name = hint.__name__ if typing.get_origin(hint) is None else str(hint)
+            name = name.replace("float", "finite float")
             raise ConfigError(f"{type(obj).__name__}.{f.name} must be {name}, got {value!r}")
 
 
@@ -105,9 +108,11 @@ def _has_type(value, hint) -> bool:
         if len(args) == 2 and args[1] is Ellipsis:
             return all(_has_type(v, args[0]) for v in value)
         return len(value) == len(args) and all(map(_has_type, value, args))
-    if hint in (int, float):
-        number = numbers.Integral if hint is int else numbers.Real
-        return isinstance(value, number) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if hint is float:  # finite: neither NaN nor infinity, nor an int past the float range
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
     return isinstance(value, hint)
 
 
@@ -415,10 +420,10 @@ def save_checkpoint(path, model: TransducerModel, extra: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> TransducerModel:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes not UTF-8
             raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} file")

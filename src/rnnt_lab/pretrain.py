@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import loss as losses
-from .alignment import FrameAlignment, collapse, short_pause_spans
+from .alignment import collapse, short_pause_spans
 from .corpus import Utterance, corpus_hash
 from .errors import DegenerateUtterance, NumericsError, ShapeError
 from .model import Affine, TransducerModel, stack_frames
@@ -57,68 +57,63 @@ class LabelTensor:
                              f"got {ids.min()}..{ids.max()}")
 
 
-def token_frame_index(fa: FrameAlignment, tokens: list[int]) -> list[int]:
-    """u(t): the index in ``tokens`` of the token covering each frame.
+def token_frame_index(labels: list[int], tokens: list[int]) -> np.ndarray:
+    """u(t): the index in ``tokens`` of the token covering each frame, which
+    is the number of label changes up to frame t.
 
     Requires the collapsed frame alignment to spell exactly ``tokens``.
     """
-    if collapse(fa.labels) != list(tokens):
+    if collapse(labels) != list(tokens):
         raise ShapeError(
-            f"frame alignment collapses to {collapse(fa.labels)}, not the tokens {list(tokens)}")
-    u_of_t = []
-    u = -1
-    prev = None
-    for label in fa.labels:
-        if label != prev:
-            u += 1
-            prev = label
-        u_of_t.append(u)
-    return u_of_t
+            f"frame alignment collapses to {collapse(labels)}, not the tokens {list(tokens)}")
+    ids = np.asarray(labels, dtype=np.int64)
+    # frame 0 is compared with itself, so u(0) = 0 and an empty alignment gives []
+    return np.cumsum(ids != np.concatenate([ids[:1], ids[:-1]]))
 
 
-def build_y1(fa: FrameAlignment, tokens, blank: int, space_id: int | None = None) -> LabelTensor:
+def build_y1(labels: list[int], tokens, blank: int, space_id: int | None = None) -> LabelTensor:
     """All rows carry the frame's alignment label; the last row is all blank."""
     tokens = list(tokens)
-    t_len = len(fa.labels)
+    t_len = len(labels)
     if t_len < 1:
         raise ShapeError("build_y1: empty frame alignment")
-    for label in fa.labels:
+    for label in labels:
         if not (0 <= label < blank):
             raise ShapeError(f"build_y1: frame label {label} outside vocab")
-    if tokens and collapse(fa.labels) != tokens:
+    if tokens and collapse(labels) != tokens:
         raise ShapeError(
-            f"build_y1: alignment collapses to {collapse(fa.labels)}, not {tokens}")
+            f"build_y1: alignment collapses to {collapse(labels)}, not {tokens}")
     targets = np.full((t_len, len(tokens) + 1), blank, dtype=np.int64)
-    targets[:, :-1] = np.asarray(fa.labels, dtype=np.int64)[:, None]
+    targets[:, :-1] = np.asarray(labels, dtype=np.int64)[:, None]
     return LabelTensor(targets=targets, mask=np.ones(targets.shape, dtype=bool), blank=blank)
 
 
-def _token_cells(fa: FrameAlignment, tokens, blank: int):
+def _token_cells(labels: list[int], tokens, blank: int):
     """Each frame's token at (t, u(t)), blank everywhere else; returns the
     ids and the (t, u(t)) cell coordinates."""
     tokens = list(tokens)
-    u_of_t = np.asarray(token_frame_index(fa, tokens), dtype=np.int64)
+    u_of_t = token_frame_index(labels, tokens)
     t_of = np.arange(len(u_of_t))
     targets = np.full((len(u_of_t), len(tokens) + 1), blank, dtype=np.int64)
     targets[t_of, u_of_t] = np.asarray(tokens, dtype=np.int64)[u_of_t]
     return targets, t_of, u_of_t
 
 
-def build_y2(fa: FrameAlignment, tokens, blank: int, space_id: int | None = None) -> LabelTensor:
+def build_y2(labels: list[int], tokens, blank: int, space_id: int | None = None) -> LabelTensor:
     """Token at (t, u(t)), blank inserted directly above at (t, u(t)+1)."""
-    targets, t_of, u_of_t = _token_cells(fa, tokens, blank)
+    targets, t_of, u_of_t = _token_cells(labels, tokens, blank)
     mask = np.zeros(targets.shape, dtype=bool)
     mask[t_of, u_of_t] = mask[t_of, u_of_t + 1] = True
     return LabelTensor(targets=targets, mask=mask, blank=blank)
 
 
-def build_y3(fa: FrameAlignment, tokens, blank: int, space_id: int | None = None) -> LabelTensor:
+def build_y3(labels: list[int], tokens, blank: int, space_id: int | None = None) -> LabelTensor:
     """The token cells of y2 only, with short-pause frames relabeled blank in place."""
-    targets, t_of, u_of_t = _token_cells(fa, tokens, blank)
+    targets, t_of, u_of_t = _token_cells(labels, tokens, blank)
     mask = np.zeros(targets.shape, dtype=bool)
     mask[t_of, u_of_t] = True
     if space_id is not None:
-        for start, end in short_pause_spans(fa, space_id):
+        for start, end in short_pause_spans(labels, space_id):
             targets[t_of[start:end], u_of_t[start:end]] = blank
     return LabelTensor(targets=targets, mask=mask, blank=blank)
 
@@ -217,12 +212,12 @@ def _aligned_items(model: TransducerModel, corpus: list[Utterance], space_id: in
     items, skipped = [], 0
     for utt in corpus:
         try:
-            fa = utt.frame_alignment(cfg.stack_stride, space_id)
+            labels = utt.frame_alignment(cfg.stack_stride, space_id)
         except DegenerateUtterance:
             skipped += 1
             continue
         stacked = stack_frames(utt.features, cfg.stack_factor, cfg.stack_stride)
-        items.append((utt, stacked, fa))
+        items.append((utt, stacked, labels))
     return items, skipped
 
 
@@ -241,8 +236,8 @@ def pretrain_encoder_ce(model: TransducerModel, corpus: list[Utterance], *, spac
         runs = model.encode_batch([stacked for _, stacked, _ in batch])
 
         def item_loss(j):
-            _, stacked, fa = batch[j]
-            out = losses.frame_ce_loss(model.encode(stacked, runs, j), fc, fa.labels)
+            _, stacked, labels = batch[j]
+            out = losses.frame_ce_loss(model.encode(stacked, runs, j), fc, labels)
             return out.value, out.node, 1.0
         return item_loss
 
@@ -262,9 +257,9 @@ def _frame_accuracy(model: TransducerModel, fc: Affine, items, batch_size: int) 
         chunk = items[start : start + batch_size]
         h = model.encode_batch([stacked for _, stacked, _ in chunk])[-1].h
         pred = np.argmax(fc.apply(Tensor(h)).data, axis=-1)
-        for col, (_, _, fa) in enumerate(chunk):
-            hits += int((pred[: len(fa.labels), col] == fa.labels).sum())
-            total += len(fa.labels)
+        for col, (_, _, labels) in enumerate(chunk):
+            hits += int((pred[: len(labels), col] == labels).sum())
+            total += len(labels)
     return hits / total
 
 
@@ -326,8 +321,8 @@ def pretrain_whole_network(model: TransducerModel, corpus: list[Utterance], vari
     cfg = model.config
     build = LABEL_BUILDERS[variant]
     aligned, skipped = _aligned_items(model, corpus, space_id)
-    items = [(utt, stacked, build(fa, utt.transcript, cfg.blank_id, space_id))
-             for utt, stacked, fa in aligned]
+    items = [(utt, stacked, build(labels, utt.transcript, cfg.blank_id, space_id))
+             for utt, stacked, labels in aligned]
 
     def loss_fn(batch):
         enc_runs = model.encode_batch([stacked for _, stacked, _ in batch])

@@ -1,6 +1,6 @@
 import pytest
 
-from rnnt_lab import FrameAlignment, ModelConfig, TransducerModel
+from rnnt_lab import ModelConfig, TransducerModel
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def worked_example():
     return {
         "space": space,
         "blank": 4,
-        "fa": FrameAlignment(labels=[a, a, a, b, b, space, c, c]),
+        "fa": [a, a, a, b, b, space, c, c],
         "tokens": [a, b, space, c],
         "names": {space: "s", a: "A", b: "B", c: "C", 4: "Φ"},
     }

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rnnt_lab import (FrameAlignment, ModelConfig, Tape, Tensor,
+from rnnt_lab import (ModelConfig, Tape, Tensor,
                       TransducerModel, build_y2, build_y3, ctc_brute_force,
                       ctc_loss, frame_ce_loss, grad_check, greedy_decode,
                       label_logits, lm_ce_loss, logsumexp, masked_ce_3d,
@@ -96,7 +96,7 @@ def test_criterion_2_gradient_correctness():
         targets = [1, 3]
         fc = Affine(cfg.hidden, cfg.num_classes, rng)
         fa_labels = [1, 1, 3, 0]
-        label = build_y2(FrameAlignment(labels=[1, 3, 3, 0]), [1, 3, 0],
+        label = build_y2([1, 3, 3, 0], [1, 3, 0],
                          blank=cfg.blank_id)
 
         def run(build):

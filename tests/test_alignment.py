@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rnnt_lab import (DegenerateUtterance, FrameAlignment, ShapeError, WordSpan,
+from rnnt_lab import (DegenerateUtterance, ShapeError, WordSpan,
                       allocate_frames, build_frame_alignment, collapse,
                       short_pause_spans)
 
@@ -35,7 +35,7 @@ def test_allocate_counts_always_sum_to_span_length():
 
 def test_build_no_spans_all_space():
     fa = build_frame_alignment([], total_frames=3, space_id=0)
-    assert fa.labels == [0, 0, 0]
+    assert fa == [0, 0, 0]
 
 
 def test_build_worked_example(worked_example):
@@ -45,12 +45,12 @@ def test_build_worked_example(worked_example):
         WordSpan("C", [3], 6, 8),
     ]
     fa = build_frame_alignment(spans, total_frames=8, space_id=0)
-    assert fa.labels == worked_example["fa"].labels  # 'A A A B B s C C'
+    assert fa == worked_example["fa"]  # 'A A A B B s C C'
 
 
 def test_build_word_split_into_two_pieces():
     fa = build_frame_alignment([span([7, 8], 0, 5)], total_frames=5, space_id=0)
-    assert fa.labels == [7, 7, 7, 8, 8]
+    assert fa == [7, 7, 7, 8, 8]
 
 
 def test_build_rejects_overlap():
@@ -69,22 +69,22 @@ def test_build_propagates_degenerate():
 
 
 def test_short_pause_two_frames():
-    fa = FrameAlignment(labels=[1, 0, 0, 1])
+    fa = [1, 0, 0, 1]
     assert short_pause_spans(fa, space_id=0) == [(1, 3)]
 
 
 def test_short_pause_three_frames_is_not_short():
-    fa = FrameAlignment(labels=[1, 0, 0, 0, 1])
+    fa = [1, 0, 0, 0, 1]
     assert short_pause_spans(fa, space_id=0) == []
 
 
 def test_short_pause_all_space_utterance():
-    fa = FrameAlignment(labels=[0, 0])
+    fa = [0, 0]
     assert short_pause_spans(fa, space_id=0) == [(0, 2)]
 
 
 def test_short_pause_multiple_runs():
-    fa = FrameAlignment(labels=[0, 1, 0, 0, 2, 0, 0, 0, 2, 0])
+    fa = [0, 1, 0, 0, 2, 0, 0, 0, 2, 0]
     assert short_pause_spans(fa, space_id=0) == [(0, 1), (2, 4), (9, 10)]
 
 
@@ -107,5 +107,5 @@ def test_round_trip_collapse_recovers_pieces():
         total = frame + int(rng.integers(0, 2))
         fa = build_frame_alignment(spans, total_frames=max(total, spans[-1].end_frame),
                                    space_id=0)
-        recovered = [k for k in collapse(fa.labels) if k != 0]
+        recovered = [k for k in collapse(fa) if k != 0]
         assert recovered == expected

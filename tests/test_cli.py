@@ -107,6 +107,34 @@ def test_wrong_type_config_value_names_field(tmp_path, capsys):
     assert str(bad) in err and "ModelConfig.hidden must be int" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("learning_rate", float("nan"), "ExperimentConfig.learning_rate must be finite float"),
+    ("gap_weights", [float("nan"), 0.3, 0.2, 0.15],
+     "ExperimentConfig.gap_weights must be tuple[finite float, ...]"),
+    ("noise", float("inf"), "ExperimentConfig.noise must be finite float"),
+    ("pretrain_lr", float("-inf"), "ExperimentConfig.pretrain_lr must be finite float"),
+    ("noise", 10 ** 400, "ExperimentConfig.noise must be finite float"),
+    ("num_train", -3, "num_train must be >= 0, got -3"),
+    ("num_test", -1, "num_test must be >= 0, got -1"),
+    ("learning_rate", -0.001, "learning_rate must be > 0, got -0.001"),
+    ("pretrain_lr", 0.0, "pretrain_lr must be > 0, got 0.0"),
+    ("grad_clip", -1.0, "grad_clip must be >= 0, got -1.0"),
+], ids=["lr-nan", "gap-weight-nan", "noise-inf", "pretrain-lr-neg-inf", "noise-huge-int",
+        "num-train-neg", "num-test-neg", "lr-neg", "pretrain-lr-zero", "grad-clip-neg"])
+def test_config_number_out_of_range_is_one_error_line_before_any_work(
+        tmp_path, config_path, capsys, field, value, message):
+    record = json.loads(open(config_path).read())
+    record[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record))  # NaN and Infinity are written as such
+    out_dir = tmp_path / "exp"
+    assert main(["experiment", "--config", str(bad), "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: ") and message in captured.err
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.out == "" and not out_dir.exists()
+
+
 def test_malformed_json_config_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seed": 1,')
@@ -114,6 +142,34 @@ def test_malformed_json_config_exits_nonzero(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "line 1 column 12" in err, err
+
+
+@pytest.mark.parametrize("case", ["config", "corpus", "checkpoint"])
+def test_input_that_is_not_utf8_is_one_error_line(tmp_path, config_path, capsys, case):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    corpus = corpus_dir / "train.jsonl"
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(ckpt, TransducerModel(ModelConfig(input_dim=4, stack_factor=2), seed=1))
+    out = tmp_path / "out.jsonl"
+    if case == "config":
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": "\xff"}')
+        argv, where = ["gen-corpus", "--config", str(bad), "--out-dir", str(tmp_path / "d")], bad
+    elif case == "corpus":
+        with open(corpus, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        argv, where = ["train", "--config", config_path, "--corpus", str(corpus),
+                       "--out", str(out)], f"{corpus}:5"
+    else:
+        ckpt.write_bytes(ckpt.read_bytes().replace(b'"format"', b'"\xff"', 1))
+        argv, where = ["decode", "--config", config_path, "--checkpoint", str(ckpt),
+                       "--corpus", str(corpus), "--out", str(out)], ckpt
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
+    assert "'utf-8'" in err and not out.exists()
 
 
 def test_truncated_checkpoint_names_file_and_line(tmp_path, config_path, capsys):

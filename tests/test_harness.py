@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -49,15 +50,22 @@ def test_gen_corpus_rejects_tiny_vocab():
         small_config(model=ModelConfig(vocab_size=2))
 
 
-def test_noise_free_features_match_templates_exactly():
-    cfg = small_config(noise=0.0, num_train=10)
+def test_zero_corpus_sizes_and_zero_grad_clip_are_legal():
+    cfg = small_config(num_train=0, num_test=0, grad_clip=0.0)
+    assert gen_corpus(cfg) == ([], [])
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_noise_free_features_match_templates_exactly(stride):
+    model = dataclasses.replace(small_config().model, stack_stride=stride)
+    cfg = small_config(noise=0.0, num_train=10, model=model)
     train, _ = gen_corpus(cfg)
     templates = token_templates(cfg)
-    stride = cfg.model.stack_stride
     for utt in train:
         fa = utt.frame_alignment(stride, cfg.space_id)
+        assert utt.features.shape[0] == stride * len(fa)
         for n in range(utt.features.shape[0]):
-            token = fa.labels[min(n // stride, len(fa.labels) - 1)]
+            token = fa[n // stride]
             # nearest-template classification is exact at zero noise
             dists = np.linalg.norm(templates - utt.features[n], axis=1)
             assert int(np.argmin(dists)) == token
@@ -88,7 +96,7 @@ def test_spans_are_consistent_with_transcript():
     for utt in train:
         fa = utt.frame_alignment(cfg.model.stack_stride, cfg.space_id)
         from rnnt_lab.alignment import collapse
-        assert collapse(fa.labels) == utt.transcript
+        assert collapse(fa) == utt.transcript
         mapping = piece_word_map(utt)
         assert len(mapping) == len(utt.transcript)
         word_indices = [w for w in mapping if w is not None]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rnnt_lab import (FrameAlignment, ModelConfig, ModelDecoder, ShapeError, TableModel,
+from rnnt_lab import (ModelConfig, ModelDecoder, ShapeError, TableModel,
                       TransducerModel, build_y1, build_y2, build_y3,
                       greedy_decode, label_logits, stack_frames)
 from rnnt_lab import NumericsError, Tensor, pretrain
@@ -30,13 +30,13 @@ def test_y1_worked_example(worked_example):
     assert lt.targets.shape == (8, 5)
     assert lt.blank == worked_example["blank"]
     for u in range(4):
-        assert np.array_equal(lt.targets[:, u], worked_example["fa"].labels)
+        assert np.array_equal(lt.targets[:, u], worked_example["fa"])
     assert (lt.targets[:, 4] == worked_example["blank"]).all()
     assert lt.mask.all()  # 100% mask density
 
 
 def test_y1_empty_transcript_single_blank_row():
-    fa = FrameAlignment(labels=[0, 0, 0])
+    fa = [0, 0, 0]
     lt = build_y1(fa, [], blank=4)
     assert lt.targets.shape == (3, 1)
     assert (lt.targets[:, 0] == 4).all()
@@ -76,10 +76,46 @@ def test_y2_mask_is_two_cells_per_frame_half_blank(worked_example):
 
 
 def test_y2_minimal_case():
-    lt = build_y2(FrameAlignment(labels=[1]), [1], blank=4)
+    lt = build_y2([1], [1], blank=4)
     assert lt.mask[0, 0] and lt.mask[0, 1]
     assert lt.targets[0, 0] == 1
     assert lt.targets[0, 1] == 4
+
+
+def test_y2_of_an_empty_alignment_masks_no_cell():
+    with pytest.raises(ShapeError, match="at least one cell must be masked"):
+        build_y2([], [], blank=4)
+
+
+def reference_token_frame_index(labels):
+    """u(t) by walking the frames: a new token starts wherever the label changes."""
+    u_of_t = []
+    u = -1
+    prev = None
+    for label in labels:
+        if label != prev:
+            u += 1
+            prev = label
+        u_of_t.append(u)
+    return u_of_t
+
+
+def test_token_frame_index_matches_the_frame_walk(worked_example):
+    fa, tokens = worked_example["fa"], worked_example["tokens"]
+    assert pretrain.token_frame_index(fa, tokens).tolist() == [0, 0, 0, 1, 1, 2, 3, 3]
+    assert reference_token_frame_index(fa) == [0, 0, 0, 1, 1, 2, 3, 3]
+    assert pretrain.token_frame_index([3], [3]).tolist() == reference_token_frame_index([3])
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        labels = []
+        for _ in range(int(rng.integers(1, 10))):
+            k = int(rng.integers(0, 4))
+            if labels and labels[-1] == k:
+                continue
+            labels.extend([k] * int(rng.integers(1, 5)))
+        tokens = [k for t, k in enumerate(labels) if t == 0 or k != labels[t - 1]]
+        u_of_t = pretrain.token_frame_index(labels, tokens)
+        assert u_of_t.tolist() == reference_token_frame_index(labels)
 
 
 def test_y2_rejects_mismatched_tokens(worked_example):
@@ -97,7 +133,7 @@ def test_y3_worked_example(worked_example):
 
 
 def test_y3_without_short_pauses_equals_y2_nonblank_half():
-    fa = FrameAlignment(labels=[1, 1, 0, 0, 0, 2])  # 3-frame space: not short
+    fa = [1, 1, 0, 0, 0, 2]  # 3-frame space: not short
     tokens = [1, 0, 2]
     y2 = build_y2(fa, tokens, blank=4)
     y3 = build_y3(fa, tokens, blank=4, space_id=0)
@@ -107,7 +143,7 @@ def test_y3_without_short_pauses_equals_y2_nonblank_half():
 
 
 def test_y3_two_frame_pause_both_frames_blank():
-    fa = FrameAlignment(labels=[1, 0, 0, 2])
+    fa = [1, 0, 0, 2]
     lt = build_y3(fa, [1, 0, 2], blank=4, space_id=0)
     assert lt.targets[1, 1] == 4
     assert lt.targets[2, 1] == 4
@@ -125,12 +161,11 @@ def test_label_tensor_masks_scale_with_length():
                 continue
             labels.extend([k] * int(rng.integers(1, 4)))
             prev = k
-        fa = FrameAlignment(labels=labels)
         tokens = [k for i, k in enumerate(labels) if i == 0 or k != labels[i - 1]]
         t_len, u_len = len(labels), len(tokens)
-        assert int(build_y1(fa, tokens, 5).mask.sum()) == t_len * (u_len + 1)
-        assert int(build_y2(fa, tokens, 5).mask.sum()) == 2 * t_len
-        assert int(build_y3(fa, tokens, 5, space_id=0).mask.sum()) == t_len
+        assert int(build_y1(labels, tokens, 5).mask.sum()) == t_len * (u_len + 1)
+        assert int(build_y2(labels, tokens, 5).mask.sum()) == 2 * t_len
+        assert int(build_y3(labels, tokens, 5, space_id=0).mask.sum()) == t_len
 
 
 def test_decode_path_property_on_generated_corpus():
@@ -420,7 +455,7 @@ def test_encoder_ce_frame_accuracy_matches_per_utterance_recomputation(monkeypat
     mc = cfg.model
     hits = total = 0
     for utt in train:  # 11 items: chunks of 4, 4 and 3
-        labels = utt.frame_alignment(mc.stack_stride, cfg.space_id).labels
+        labels = utt.frame_alignment(mc.stack_stride, cfg.space_id)
         stacked = stack_frames(utt.features, mc.stack_factor, mc.stack_stride)
         pred = np.argmax(fc.apply(model.encode(stacked)).data, axis=-1)
         hits += int((pred == np.array(labels)).sum())
