@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pretrain as pt
 from .alignment import WordSpan, build_frame_alignment, collapse
-from .corpus import Utterance, corpus_hash, piece_word_map, save_corpus
+from .corpus import Utterance, check_utterance, corpus_hash, piece_word_map, save_corpus
 from .decoding import (DelayStats, ModelDecoder, beam_decode, greedy_decode, measure_delay,
                        write_delay_csv, write_nbest)
 from .errors import ConfigError, LabError
@@ -71,11 +71,14 @@ class ExperimentConfig:
             raise ConfigError("gap_choices and gap_weights must be nonempty and equal length")
         if abs(sum(self.gap_weights) - 1.0) > 1e-9:
             raise ConfigError("gap_weights must sum to 1")
+        for name in ("gap_choices", "gap_weights"):
+            if min(getattr(self, name)) < 0:
+                raise ConfigError(f"{name} entries must be >= 0, got {getattr(self, name)}")
         if not (0 <= self.space_id < self.model.vocab_size):
             raise ConfigError("space_id must be a vocabulary token")
-        for name, low in (("num_train", 0), ("num_test", 0), ("noise", 0), ("grad_clip", 0),
-                          ("pretrain_epochs", 0), ("train_epochs", 0), ("batch_size", 1),
-                          ("beam_width", 1), ("max_symbols_per_frame", 1)):
+        for name, low in (("seed", 0), ("num_train", 0), ("num_test", 0), ("noise", 0),
+                          ("grad_clip", 0), ("pretrain_epochs", 0), ("train_epochs", 0),
+                          ("batch_size", 1), ("beam_width", 1), ("max_symbols_per_frame", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("learning_rate", "pretrain_lr"):
@@ -161,18 +164,25 @@ def _gen_utterance(cfg: ExperimentConfig, templates: np.ndarray,
     labels = build_frame_alignment(spans, frame, cfg.space_id)
     raw = templates[np.repeat(labels, cfg.model.stack_stride)]
     if cfg.noise > 0:
-        raw += cfg.noise * rng.standard_normal(raw.shape)
+        with np.errstate(over="ignore"):  # gen_corpus's check names a noise that overflows
+            raw += cfg.noise * rng.standard_normal(raw.shape)
     return Utterance(utt_id=utt_id, features=raw, words=spans,
                      transcript=collapse(labels))
 
 
 def gen_corpus(cfg: ExperimentConfig) -> tuple[list[Utterance], list[Utterance]]:
-    """Train and test sets from disjoint seed streams over shared templates."""
+    """Train and test sets from disjoint seed streams over shared templates;
+    each utterance passes ``check_utterance``, as a loaded one does."""
     templates = token_templates(cfg)
     train = [_gen_utterance(cfg, templates, np.random.default_rng([cfg.seed, 1, i]), f"train-{i:04d}")
              for i in range(cfg.num_train)]
     test = [_gen_utterance(cfg, templates, np.random.default_rng([cfg.seed, 2, i]), f"test-{i:04d}")
             for i in range(cfg.num_test)]
+    for utt in train + test:
+        try:
+            check_utterance(utt, cfg.model, cfg.space_id)
+        except ConfigError as exc:  # a non-finite feature: the noise overflowed
+            raise ConfigError(f"noise {cfg.noise!r}: utterance {utt.utt_id}: {exc}") from exc
     return train, test
 
 
@@ -202,13 +212,13 @@ def train_transducer(model: TransducerModel, corpus: list[Utterance],
              for utt in corpus]
 
     def loss_fn(batch):
-        enc_runs = model.encode_batch([stacked for stacked, _ in batch])
-        pre_runs = model.predict_batch([transcript for _, transcript in batch])
+        h_enc = model.encode_batch([stacked for stacked, _ in batch])
+        h_pre = model.predict_batch([transcript for _, transcript in batch])
 
         def item_loss(j):
             stacked, transcript = batch[j]
-            logits = model.joint(model.encode(stacked, enc_runs, j),
-                                 model.predict(transcript, pre_runs, j))
+            logits = model.joint(model.encode(stacked, h_enc, j),
+                                 model.predict(transcript, h_pre, j))
             out = rnnt_loss(logits, transcript, mc.blank_id)
             return out.value, out.node, max(1.0, float(len(transcript)))
         return item_loss

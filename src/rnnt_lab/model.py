@@ -151,7 +151,6 @@ class Affine:
 
 class LstmLayer:
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator, layer_norm: bool):
-        self.in_dim = in_dim
         self.hidden = hidden
         self.layer_norm = layer_norm
         self.w = nm.xavier_uniform(rng, (in_dim, 4 * hidden), in_dim, 4 * hidden)
@@ -168,9 +167,9 @@ class LstmLayer:
 
 
 def pad_batch(seqs) -> np.ndarray:
-    """Right-pad nonempty (T_j, D) arrays with zeros into one time-major
-    (max T_j, B, D) batch; sequence j is column j."""
-    batch = np.zeros((max(len(seq) for seq in seqs), len(seqs), seqs[0].shape[-1]))
+    """Right-pad (T_j, ...) arrays of one trailing shape and dtype with zeros
+    into one time-major (max T_j, B, ...) batch; sequence j is column j."""
+    batch = np.zeros((max(map(len, seqs)), len(seqs), *seqs[0].shape[1:]), seqs[0].dtype)
     for col, seq in enumerate(seqs):
         batch[: len(seq), col] = seq
     return batch
@@ -180,17 +179,14 @@ class LstmStack:
     """Unidirectional stacked LSTM; output at t depends only on inputs <= t.
 
     Training and decoding share one cell (``numerics.lstm_cell``):
-    ``forward_batch`` runs every layer over a right-padded time-major
-    (T, B, D) batch, untaped; ``forward`` replays one sequence's column of
-    those runs as one ``lstm_layer`` per layer (each a taped BPTT record),
-    without running the forward pass again; ``step`` advances the untaped
+    ``forward`` runs every layer over a right-padded time-major (T, B, D)
+    batch, or a (T, D) sequence as a batch of one, as one ``lstm_layer`` per
+    layer (taped, one BPTT record each); ``step`` advances the untaped
     per-layer (n, H) states by one input row each.
     """
 
     def __init__(self, in_dim: int, hidden: int, num_layers: int,
                  rng: np.random.Generator, layer_norm: bool):
-        self.hidden = hidden
-        self.num_layers = num_layers
         self.layers = [
             LstmLayer(in_dim if i == 0 else hidden, hidden, rng, layer_norm)
             for i in range(num_layers)
@@ -202,25 +198,11 @@ class LstmStack:
             out.extend(layer.named_parameters(f"{prefix}.l{i}"))
         return out
 
-    def forward(self, x: Tensor, runs=None, col: int = 0) -> Tensor:
-        """The stack over a (T, D) sequence ``x``, replayed from column ``col``
-        of ``runs`` from ``forward_batch``, ``x`` being its first rows; without
-        ``runs``, from ``x`` run alone as a batch of one."""
-        if runs is None:
-            runs, col = self.forward_batch(x.data[:, None]), 0
-        for layer, run in zip(self.layers, runs):
-            x = nm.lstm_layer(x, layer.w, layer.r, layer.b, layer.ln_gain, layer.ln_bias,
-                              run=run, col=col)
-        return x
-
-    def forward_batch(self, x: np.ndarray) -> list[nm.LstmRun]:
-        """Untaped per-layer forward buffers of a right-padded (T, B, D) batch."""
-        runs = []
+    def forward(self, x) -> Tensor:
+        """The top layer's hidden rows over ``x``, a Tensor or a plain array of data."""
         for layer in self.layers:
-            runs.append(nm.lstm_forward(x, layer.w, layer.r, layer.b,
-                                        layer.ln_gain, layer.ln_bias))
-            x = runs[-1].h
-        return runs
+            x = nm.lstm_layer(x, layer.w, layer.r, layer.b, layer.ln_gain, layer.ln_bias)
+        return x
 
     def initial_state(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(np.zeros((1, l.hidden)), np.zeros((1, l.hidden))) for l in self.layers]
@@ -319,31 +301,34 @@ class TransducerModel:
                 f"encode: input width {x.shape[1]} != input_dim*stack_factor "
                 f"({self.config.encoder_input_dim})")
 
-    def encode(self, x: Tensor, runs=None, col: int = 0) -> Tensor:
+    def encode(self, x: Tensor, h_batch: Tensor | None = None, col: int = 0) -> Tensor:
         """Eq-style encoder pass over stacked frames: (T, D) -> (T, H); with
-        ``runs`` from ``encode_batch``, replayed from column ``col``."""
+        ``h_batch`` from ``encode_batch``, the first T rows of its column ``col``."""
         self._check_frames(x)
-        # a fresh leaf: features get no grad
-        return self.encoder.forward(Tensor(x.data), runs, col)
+        if h_batch is None:
+            return self.encoder.forward(x.data)
+        return nm.batch_column(h_batch, col, x.shape[0])
 
-    def predict(self, y_prefix: list[int], runs=None, col: int = 0) -> Tensor:
+    def predict(self, y_prefix: list[int], h_batch: Tensor | None = None, col: int = 0) -> Tensor:
         """Label-history pass: prefix of U token ids -> (U+1, H); row 0 is the
-        start context. With ``runs`` from ``predict_batch``, replayed from
-        column ``col``."""
-        return self.prediction.forward(nm.embed_prefix(self.embedding, y_prefix), runs, col)
+        start context. With ``h_batch`` from ``predict_batch``, the first U+1
+        rows of its column ``col``."""
+        if h_batch is None:
+            return self.prediction.forward(nm.embed_prefix(self.embedding, y_prefix))
+        return nm.batch_column(h_batch, col, len(y_prefix) + 1)
 
-    def encode_batch(self, frames) -> list[nm.LstmRun]:
-        """Untaped encoder runs over a minibatch of stacked (T_j, D) frames,
-        right-padded time-major; ``encode(frames[j], runs, j)`` replays one."""
+    def encode_batch(self, frames) -> Tensor:
+        """(T, B, H) encoder rows of a right-padded minibatch of stacked (T_j, D)
+        frames; ``encode(frames[j], h_batch, j)`` hands out utterance j's."""
         for x in frames:
             self._check_frames(x)
-        return self.encoder.forward_batch(pad_batch([x.data for x in frames]))
+        return self.encoder.forward(pad_batch([x.data for x in frames]))
 
-    def predict_batch(self, prefixes) -> list[nm.LstmRun]:
-        """Untaped prediction runs over a minibatch of label prefixes;
-        ``predict(prefixes[j], runs, j)`` replays one."""
-        return self.prediction.forward_batch(
-            pad_batch([nm.embed_prefix(self.embedding, y).data for y in prefixes]))
+    def predict_batch(self, prefixes) -> Tensor:
+        """(U+1, B, H) prediction rows of a right-padded minibatch of label
+        prefixes; ``predict(prefixes[j], h_batch, j)`` hands out utterance j's."""
+        ids = pad_batch([np.asarray(y, dtype=np.int64) for y in prefixes])
+        return self.prediction.forward(nm.embed_prefix(self.embedding, ids))
 
     def joint(self, h_enc: Tensor, h_pre: Tensor) -> Tensor:
         """Lattice of logits: (T, H) x (U+1, H) -> (T, U+1, K+1)."""
@@ -360,12 +345,11 @@ class TransducerModel:
     # -- inference-only stepping (plain numpy, no tape) -------------------------
 
     def encode_frames(self, features) -> np.ndarray:
-        """Untaped encoder pass over stacked frames, (T, D) -> (T, H): the
-        ``encode_batch`` of one sequence."""
+        """Untaped encoder pass over stacked frames, (T, D) -> (T, H)."""
         x = features if isinstance(features, Tensor) else Tensor(features)
         if x.data.ndim != 2 or x.shape[0] == 0:
             raise ShapeError(f"encode_frames: need a nonempty (T, D) input, got shape {x.shape}")
-        return self.encode_batch([x])[-1].h[:, 0]
+        return self.encoder.forward(x.data).data
 
     def prediction_start(self):
         state = self.prediction.initial_state()

@@ -82,6 +82,10 @@ class Tape:
         if g.shape not in ((), output.data.shape):
             raise ShapeError(f"backward seed shape {g.shape} does not match output {output.data.shape}")
         output.ensure_grad()[...] += g
+        self.sweep()
+
+    def sweep(self) -> None:
+        """Replay the records in reverse on their outputs' grads, skipping outputs without one."""
         for rec in reversed(self.records):
             if rec.output.grad is not None:
                 rec.backward(rec.output.grad)
@@ -105,14 +109,14 @@ def _record(name: str, inputs: tuple, output: Tensor, backward: Callable) -> Non
 # ---------------------------------------------------------------------------
 
 
-def embed_prefix(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """An all-zero start row followed by the table rows of ``ids``: (len(ids) + 1, n)."""
-    idx = np.asarray(ids, dtype=np.int64).reshape(-1)
+def embed_prefix(table: Tensor, ids) -> Tensor:
+    """An all-zero start row over the table rows of U ``ids`` or (U, B) ids: (U + 1, [B,] n)."""
+    idx = np.asarray(ids, dtype=np.int64)
     rows = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         bad = int(idx[(idx < 0) | (idx >= rows)][0])
         raise ShapeError(f"embed_prefix: id {bad} outside table of {rows} rows")
-    out = Tensor(np.concatenate([np.zeros((1, table.shape[1])), table.data[idx]]))
+    out = Tensor(np.concatenate([np.zeros((1, *idx.shape[1:], table.shape[1])), table.data[idx]]))
 
     def backward(g):
         np.add.at(table.ensure_grad(), idx, g[1:])
@@ -262,16 +266,6 @@ class LstmRun(NamedTuple):
         return self.hs[1:]
 
 
-def _check_lstm_shapes(x_shape, w: Tensor, r: Tensor, b: Tensor, ln_gain, ln_bias) -> None:
-    hh = r.shape[0]
-    if w.shape != (x_shape[-1], 4 * hh) or r.shape != (hh, 4 * hh) or b.shape != (4 * hh,):
-        raise ShapeError(f"lstm_layer: shapes x {x_shape}, w {w.shape}, r {r.shape}, "
-                         f"b {b.shape} incompatible")
-    if (ln_gain is None) != (ln_bias is None) or (
-            ln_gain is not None and (ln_gain.shape != (4 * hh,) or ln_bias.shape != (4 * hh,))):
-        raise ShapeError(f"lstm_layer: layer norm needs gain and bias of shape ({4 * hh},)")
-
-
 def lstm_forward(x: np.ndarray, w: Tensor, r: Tensor, b: Tensor,
                  ln_gain: Tensor | None = None, ln_bias: Tensor | None = None) -> LstmRun:
     """The one LSTM forward body: a layer from zero state over a nonempty
@@ -284,9 +278,14 @@ def lstm_forward(x: np.ndarray, w: Tensor, r: Tensor, b: Tensor,
     """
     if x.ndim != 3 or 0 in x.shape[:-1]:
         raise ShapeError(f"lstm_forward: need a nonempty (T, B, D) batch, got shape {x.shape}")
-    _check_lstm_shapes(x.shape, w, r, b, ln_gain, ln_bias)
     t_len, batch, d_in = x.shape
     hh = r.shape[0]
+    if w.shape != (d_in, 4 * hh) or r.shape != (hh, 4 * hh) or b.shape != (4 * hh,):
+        raise ShapeError(f"lstm_layer: shapes x {x.shape}, w {w.shape}, r {r.shape}, "
+                         f"b {b.shape} incompatible")
+    if (ln_gain is None) != (ln_bias is None) or (
+            ln_gain is not None and (ln_gain.shape != (4 * hh,) or ln_bias.shape != (4 * hh,))):
+        raise ShapeError(f"lstm_layer: layer norm needs gain and bias of shape ({4 * hh},)")
     # (T, B, 4H) pre-activations from the input side; each step adds h @ R
     # to its rows, which the cell then overwrites with the gate activations
     a = (x.reshape(-1, d_in) @ w.data).reshape(t_len, batch, 4 * hh)
@@ -299,7 +298,7 @@ def lstm_forward(x: np.ndarray, w: Tensor, r: Tensor, b: Tensor,
     hs = np.zeros((t_len + 1, batch, hh))
     cs = np.zeros((t_len + 1, batch, hh))
     steps = [a, hs[:-1], cs[:-1], cs[1:], hs[1:]]
-    tc = np.empty((batch, hh))  # tanh(c) of one step; BPTT recomputes it per sequence
+    tc = np.empty((batch, hh))  # tanh(c) of one step; BPTT recomputes it
     if batch == 1:  # one sequence steps (4H,) rows: a GEMV costs less than a (1, H) GEMM
         steps, tc = [v[:, 0] for v in steps], tc[0]
     for t, (z, h, c, c_new, h_new) in enumerate(zip(*steps)):
@@ -310,70 +309,103 @@ def lstm_forward(x: np.ndarray, w: Tensor, r: Tensor, b: Tensor,
     return LstmRun(a, hs, cs, xhat, inv)
 
 
-def lstm_layer(x: Tensor, w: Tensor, r: Tensor, b: Tensor,
-               ln_gain: Tensor | None = None, ln_bias: Tensor | None = None, *,
-               run: LstmRun, col: int) -> Tensor:
-    """A whole LSTM layer from zero state over a (T, D) sequence, (T, H) hidden
-    rows out, replayed from column ``col`` of ``run``: the ``lstm_forward``
-    buffers of a batch whose column ``col`` starts with ``x``.
+def lstm_layer(x, w: Tensor, r: Tensor, b: Tensor,
+               ln_gain: Tensor | None = None, ln_bias: Tensor | None = None) -> Tensor:
+    """``lstm_forward`` over a right-padded time-major (T, B, D) batch, or a (T, D)
+    sequence as a batch of one; a plain-array ``x`` is data and gets no gradient.
 
-    Nothing is recomputed: the layer's output comes from that column. Taped,
-    the layer writes one record whose backward is analytic BPTT over the
-    column's buffers. An input that no record produced and that holds no
-    grad buffer is data (the features into the first encoder layer):
-    backward computes no gradient for it.
+    Taped, one record whose backward is BPTT over (B, H) rows: one recurrent
+    GEMM per step, then the x, w, r and b gradients as GEMMs over all T·B rows.
+    Padded frames get no upstream gradient, so their dh, dc and dz stay zero.
+    dz overwrites the gate buffer, so a second backward is a ``NumericsError``.
     """
-    if x.data.ndim != 2 or not (0 < x.shape[0] <= run.a.shape[0]) \
-            or not 0 <= col < run.a.shape[1]:
-        raise ShapeError(f"lstm_layer: a (T, D) column of a batch run of "
-                         f"{run.a.shape[:2]} (T, B), got shape {x.shape} at column {col}")
-    _check_lstm_shapes(x.shape, w, r, b, ln_gain, ln_bias)
-    t_len = x.shape[0]
-    hs = run.hs[: t_len + 1, col]
-    out = Tensor(hs[1:])
+    wants_dx = isinstance(x, Tensor)
+    x = x if wants_dx else Tensor(x)
+    run = lstm_forward(x.data[:, None] if x.data.ndim == 2 else x.data,
+                       w, r, b, ln_gain, ln_bias)
+    out = Tensor(run.h.reshape(*x.shape[:-1], -1))
     tape = active_tape()
     if tape is None:
         return out
-    hh = r.shape[0]
-    a, cs = run.a[:t_len, col], run.cs[: t_len + 1, col]
+    a, hs, cs, xhat, inv = run
+    t_len, batch, hh = run.h.shape
     ln = ln_gain is not None
-    if ln:
-        xhat, inv = run.xhat[:t_len, col], run.inv[:t_len, col]
-    x_wants_grad = x.grad is not None or any(rec.output is x for rec in reversed(tape.records))
 
     def backward(g):
-        i, f, gg, o = a.reshape(t_len, 4, hh).swapaxes(0, 1)
-        tcs = np.tanh(cs[1:])
-        # dz (the 4H pre-activation grad) = [dc, dc, dc, dh] * pq row-wise
-        pq = np.stack([gg * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - gg * gg),
-                       tcs * o * (1.0 - o)], axis=1)
-        dc_dh = o * (1.0 - tcs * tcs)
-        dz = np.empty((t_len, 4, hh))
-        dz_flat = dz.reshape(t_len, 4 * hh)
-        dz_pre = dz_flat if not ln else np.empty((t_len, 4 * hh))  # grad before layer norm
+        if not a.flags.writeable:
+            raise NumericsError("lstm_layer: a second backward over one record; the first "
+                                "wrote its gradients over the gate buffer")
+        g = g.reshape(t_len, batch, hh)
+        a4 = a.reshape(t_len, batch, 4, hh)
+        i, f, gg, o = (a4[:, :, k] for k in range(4))
+        # dz (the 4H pre-activation grad) = [dc, dc, dc, dh] * pq row-wise, where
+        # pq = [g i (1 - i), c_prev f (1 - f), i (1 - g^2), tanh(c) o (1 - o)]
+        # is written over the gate activations, in place
+        tmp = np.tanh(cs[1:])
+        dc_dh = tmp * tmp  # dL/dc[t] += dL/dh[t] * o (1 - tanh(c)^2)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
+        tmp *= o
+        np.subtract(1.0, o, out=o)
+        o *= tmp
+        fs = f.copy()  # carries dc back one step
+        np.subtract(1.0, f, out=f)
+        f *= fs
+        f *= cs[:-1]
+        np.multiply(gg, gg, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= i
+        gg *= i
+        np.subtract(1.0, i, out=i)
+        i *= gg
+        gg[...] = tmp
+        del tmp
+        if ln:
+            d_gain, d_bias = np.zeros(4 * hh), np.zeros(4 * hh)
         rt = r.data.T  # a contiguous copy costs more than it saves at these sizes
-        d = np.zeros((4, hh))
-        dc = d[:3]  # dL/dc[t], kept three times over, one per i, f, g row of pq
-        dh = d[3]  # dz[t + 1] @ R^T, then dL/dh[t]
+        d = np.zeros((batch, 4, hh))
+        dc = np.zeros((batch, hh))  # dL/dc[t]
+        dh = np.zeros((batch, hh))  # dz[t + 1] @ R^T, then dL/dh[t]
         for t in range(t_len - 1, -1, -1):
             dh += g[t]
             dc += dh * dc_dh[t]
-            np.multiply(d, pq[t], out=dz[t])
+            d[:, :3] = dc[:, None]
+            d[:, 3] = dh
+            a4[t] *= d  # a[t] now holds dz[t]
             if ln:
-                dz_pre[t] = _layer_norm_input_grad(dz_flat[t] * ln_gain.data, xhat[t], inv[t])
-            np.matmul(dz_pre[t], rt, out=dh)
-            dc *= f[t]
+                z = a[t]
+                d_gain += (z * xhat[t]).sum(axis=0)
+                d_bias += z.sum(axis=0)
+                z[...] = _layer_norm_input_grad(z * ln_gain.data, xhat[t], inv[t])
+            np.matmul(a[t], rt, out=dh)
+            dc *= fs[t]
+        a.flags.writeable = False  # it holds dz now
+        dz = a.reshape(-1, 4 * hh)
         if ln:
-            ln_gain.ensure_grad()[...] += (dz_flat * xhat).sum(axis=0)
-            ln_bias.ensure_grad()[...] += dz_flat.sum(axis=0)
-        if x_wants_grad:
-            x.ensure_grad()[...] += dz_pre @ w.data.T
-        w.ensure_grad()[...] += x.data.T @ dz_pre
-        r.ensure_grad()[...] += hs[:-1].T @ dz_pre
-        b.ensure_grad()[...] += dz_pre.sum(axis=0)
+            ln_gain.ensure_grad()[...] += d_gain
+            ln_bias.ensure_grad()[...] += d_bias
+        if wants_dx:
+            x.ensure_grad()[...] += (dz @ w.data.T).reshape(x.shape)
+        w.ensure_grad()[...] += x.data.reshape(-1, x.shape[-1]).T @ dz
+        r.ensure_grad()[...] += hs[:-1].reshape(-1, hh).T @ dz
+        b.ensure_grad()[...] += dz.sum(axis=0)
 
     inputs = (x, w, r, b) if not ln else (x, w, r, b, ln_gain, ln_bias)
     _record("lstm_layer", inputs, out, backward)
+    return out
+
+
+def batch_column(x: Tensor, col: int, rows: int) -> Tensor:
+    """One utterance's (rows, H) share of a (T, B, H) batch: column ``col``'s first rows."""
+    if x.data.ndim != 3 or not 0 < rows <= x.shape[0] or not 0 <= col < x.shape[1]:
+        raise ShapeError(f"batch_column: rows {rows} of column {col} lie outside a "
+                         f"(T, B, H) batch of shape {x.shape}")
+    out = Tensor(x.data[:rows, col])
+
+    def backward(g):
+        x.ensure_grad()[:rows, col] += g
+
+    _record("batch_column", (x,), out, backward)
     return out
 
 

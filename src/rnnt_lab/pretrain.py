@@ -162,13 +162,12 @@ class PretrainReport:
 def train_with_loss(params, items, loss_fn, *, epochs: int, lr: float = 1e-3,
                     batch_size: int = 8, grad_clip: float = 5.0, seed: int = 0,
                     on_epoch_end=None) -> list[float]:
-    """Generic minibatch loop. ``loss_fn(batch)`` gets one minibatch's items,
-    runs the forward work they share untaped, and returns ``item_loss``;
-    ``item_loss(j)``, run under item j's own tape, finishes its forward pass
-    and returns (value, node, weight). Each item's tape runs its backward
-    before the next item starts; gradients are scaled by the batch's total
-    weight, clipped by global norm, and stepped with Adam. The per-epoch
-    entries are sum(value)/sum(weight) over the whole epoch.
+    """Generic minibatch loop. ``loss_fn(batch)``, under the minibatch's tape,
+    runs the items' shared forward work and returns ``item_loss``; ``item_loss(j)``,
+    under item j's own tape, returns (value, node, weight). Each item's
+    ``Tape.backward`` runs before the next item starts, then the minibatch tape
+    sweeps once (batched BPTT). Grads are scaled by the batch's total weight,
+    clipped and stepped with Adam; epoch entries are sum(value)/sum(weight).
     ``on_epoch_end(epoch, loss)`` runs after each epoch when given. A
     non-finite gradient raises ``NumericsError`` naming the epoch and minibatch."""
     if not items:
@@ -182,14 +181,16 @@ def train_with_loss(params, items, loss_fn, *, epochs: int, lr: float = 1e-3,
             opt.zero_grad()
             batch_weight = 0.0
             batch = [items[idx] for idx in order[start : start + batch_size]]
-            item_loss = loss_fn(batch)
+            with Tape() as batch_tape:
+                item_loss = loss_fn(batch)
             for j in range(len(batch)):
                 with Tape() as tape:
                     value, node, weight = item_loss(j)
                     tape.backward(node)
                 batch_weight += weight
                 epoch_value += value
-            del item_loss, tape  # free the minibatch's forward buffers before the next one's
+            batch_tape.sweep()
+            del item_loss, tape, batch_tape  # free the minibatch's buffers before the next one's
             epoch_weight += batch_weight
             if batch_weight > 0:
                 for p in params:
@@ -233,11 +234,11 @@ def pretrain_encoder_ce(model: TransducerModel, corpus: list[Utterance], *, spac
     params = model.encoder_parameters() + fc.parameters()
 
     def loss_fn(batch):
-        runs = model.encode_batch([stacked for _, stacked, _ in batch])
+        h_enc = model.encode_batch([stacked for _, stacked, _ in batch])
 
         def item_loss(j):
             _, stacked, labels = batch[j]
-            out = losses.frame_ce_loss(model.encode(stacked, runs, j), fc, labels)
+            out = losses.frame_ce_loss(model.encode(stacked, h_enc, j), fc, labels)
             return out.value, out.node, 1.0
         return item_loss
 
@@ -255,7 +256,7 @@ def _frame_accuracy(model: TransducerModel, fc: Affine, items, batch_size: int) 
     hits = total = 0
     for start in range(0, len(items), batch_size):
         chunk = items[start : start + batch_size]
-        h = model.encode_batch([stacked for _, stacked, _ in chunk])[-1].h
+        h = model.encode_batch([stacked for _, stacked, _ in chunk]).data
         pred = np.argmax(fc.apply(Tensor(h)).data, axis=-1)
         for col, (_, _, labels) in enumerate(chunk):
             hits += int((pred[: len(labels), col] == labels).sum())
@@ -274,11 +275,11 @@ def pretrain_encoder_ctc(model: TransducerModel, corpus: list[Utterance], *,
              for utt in corpus]
 
     def loss_fn(batch):
-        runs = model.encode_batch([stacked for _, stacked in batch])
+        h_enc = model.encode_batch([stacked for _, stacked in batch])
 
         def item_loss(j):
             utt, stacked = batch[j]
-            logits = fc.apply(model.encode(stacked, runs, j))
+            logits = fc.apply(model.encode(stacked, h_enc, j))
             out = losses.ctc_loss(logits, utt.transcript, cfg.blank_id)
             return out.value, out.node, max(1.0, float(len(utt.transcript)))
         return item_loss
@@ -298,11 +299,11 @@ def pretrain_prediction_lm(model: TransducerModel, corpus: list[Utterance], *,
     items = [utt for utt in corpus if len(utt.transcript) >= 1]
 
     def loss_fn(batch):
-        runs = model.predict_batch([utt.transcript for utt in batch])
+        h_pre = model.predict_batch([utt.transcript for utt in batch])
 
         def item_loss(j):
             utt = batch[j]
-            out = losses.lm_ce_loss(model.predict(utt.transcript, runs, j), fc, utt.transcript)
+            out = losses.lm_ce_loss(model.predict(utt.transcript, h_pre, j), fc, utt.transcript)
             return out.value, out.node, 1.0
         return item_loss
 
@@ -325,13 +326,13 @@ def pretrain_whole_network(model: TransducerModel, corpus: list[Utterance], vari
              for utt, stacked, labels in aligned]
 
     def loss_fn(batch):
-        enc_runs = model.encode_batch([stacked for _, stacked, _ in batch])
-        pre_runs = model.predict_batch([utt.transcript for utt, _, _ in batch])
+        h_enc = model.encode_batch([stacked for _, stacked, _ in batch])
+        h_pre = model.predict_batch([utt.transcript for utt, _, _ in batch])
 
         def item_loss(j):
             utt, stacked, label = batch[j]
-            logits = model.joint(model.encode(stacked, enc_runs, j),
-                                 model.predict(utt.transcript, pre_runs, j))
+            logits = model.joint(model.encode(stacked, h_enc, j),
+                                 model.predict(utt.transcript, h_pre, j))
             out = losses.masked_ce_3d(logits, label)
             return out.value, out.node, 1.0
         return item_loss

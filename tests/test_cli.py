@@ -119,8 +119,12 @@ def test_wrong_type_config_value_names_field(tmp_path, capsys):
     ("learning_rate", -0.001, "learning_rate must be > 0, got -0.001"),
     ("pretrain_lr", 0.0, "pretrain_lr must be > 0, got 0.0"),
     ("grad_clip", -1.0, "grad_clip must be >= 0, got -1.0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("gap_weights", [1.5, -0.5, 0.0, 0.0], "gap_weights entries must be >= 0"),
+    ("gap_choices", [-2, 0, 1, 2], "gap_choices entries must be >= 0"),
 ], ids=["lr-nan", "gap-weight-nan", "noise-inf", "pretrain-lr-neg-inf", "noise-huge-int",
-        "num-train-neg", "num-test-neg", "lr-neg", "pretrain-lr-zero", "grad-clip-neg"])
+        "num-train-neg", "num-test-neg", "lr-neg", "pretrain-lr-zero", "grad-clip-neg",
+        "seed-neg", "gap-weight-neg", "gap-choice-neg"])
 def test_config_number_out_of_range_is_one_error_line_before_any_work(
         tmp_path, config_path, capsys, field, value, message):
     record = json.loads(open(config_path).read())
@@ -133,6 +137,21 @@ def test_config_number_out_of_range_is_one_error_line_before_any_work(
     assert captured.err.startswith(f"error: {bad}: ") and message in captured.err
     assert captured.err.count("\n") == 1, captured.err
     assert captured.out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-corpus", "experiment"])
+def test_noise_that_overflows_the_features_is_one_error_line_before_training(
+        tmp_path, config_path, capsys, command):
+    record = json.loads(open(config_path).read())
+    record["noise"] = 1e308  # finite, but its product with a normal draw overflows
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record))
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(bad), "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: noise 1e+308: utterance train-0000: "), captured.err
+    assert "non-finite" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == "" and not list(out_dir.glob("*.*"))
 
 
 def test_malformed_json_config_exits_nonzero(tmp_path, capsys):

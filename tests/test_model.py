@@ -243,7 +243,7 @@ def test_encode_frames_batch_matches_per_utterance(layer_norm):
         p.data += rng.uniform(-0.3, 0.3, size=p.shape)  # nonzero biases and norm shifts
     lengths = [4, 1, 6]
     seqs = [rng.normal(size=(n, cfg.encoder_input_dim)) for n in lengths]
-    out = model.encode_batch([Tensor(seq) for seq in seqs])[-1].h
+    out = model.encode_batch([Tensor(seq) for seq in seqs]).data
     assert out.shape == (max(lengths), len(seqs), cfg.hidden)
     for col, seq in enumerate(seqs):
         assert np.abs(out[: len(seq), col] - model.encode_frames(seq)).max() <= 1e-12
@@ -335,13 +335,16 @@ def test_taped_utterance_writes_one_record_per_lstm_layer():
 
 
 def minibatch_losses_and_grads(model, feats, targets, batched):
-    """rnnt_loss value per utterance and the summed parameter grads of one
-    minibatch, one tape and backward per utterance; batched, encode and
-    predict replay columns of one encode_batch / predict_batch run."""
+    """rnnt_loss value per utterance, each utterance's tape records and the
+    summed parameter grads of one minibatch, one tape and backward per
+    utterance. Batched, encode and predict hand out columns of one
+    encode_batch / predict_batch under a minibatch tape, which sweeps once
+    after the utterances; otherwise each utterance runs its own passes."""
     for p in model.parameters():
         p.zero_grad()
-    enc = model.encode_batch(feats) if batched else None
-    pre = model.predict_batch(targets) if batched else None
+    with Tape() as batch_tape:
+        enc = model.encode_batch(feats) if batched else None
+        pre = model.predict_batch(targets) if batched else None
     values, records = [], []
     for j, (x, y) in enumerate(zip(feats, targets)):
         with Tape() as tape:
@@ -350,11 +353,13 @@ def minibatch_losses_and_grads(model, feats, targets, batched):
             tape.backward(out.node)
         values.append(out.value)
         records.append([rec.name for rec in tape.records])
-    return values, records, [p.grad for p in model.parameters()]
+    batch_tape.sweep()
+    return values, records, [rec.name for rec in batch_tape.records], \
+        [p.grad for p in model.parameters()]
 
 
 @pytest.mark.parametrize("layer_norm", [False, True])
-def test_minibatch_replay_matches_per_utterance_passes(layer_norm):
+def test_minibatch_bptt_matches_per_utterance_passes(layer_norm):
     cfg = ModelConfig(input_dim=3, stack_factor=2, stack_stride=1, encoder_layers=2,
                       prediction_layers=2, hidden=5, projection=4, vocab_size=4,
                       use_layer_norm=layer_norm)
@@ -366,10 +371,16 @@ def test_minibatch_replay_matches_per_utterance_passes(layer_norm):
     shapes = [(4, [1, 2]), (1, []), (7, [3, 0, 2]), (1, [2]), (3, [0, 1, 2, 3, 1])]
     feats = [Tensor(rng.normal(size=(t_len, cfg.encoder_input_dim))) for t_len, _ in shapes]
     targets = [y for _, y in shapes]
-    got_values, got_records, got_grads = minibatch_losses_and_grads(model, feats, targets, True)
-    want_values, want_records, want_grads = minibatch_losses_and_grads(model, feats, targets,
-                                                                       False)
-    assert got_records == want_records
+    got_values, got_records, batch_records, got_grads = minibatch_losses_and_grads(
+        model, feats, targets, True)
+    want_values, want_records, _, want_grads = minibatch_losses_and_grads(
+        model, feats, targets, False)
+    # the minibatch tape holds every LSTM record, once per layer
+    assert batch_records == ["lstm_layer", "lstm_layer", "embed_prefix", "lstm_layer",
+                             "lstm_layer"]
+    assert got_records == [["batch_column", "batch_column", "joint", "rnnt_loss"]] * 5
+    assert want_records == [["lstm_layer", "lstm_layer", "embed_prefix", "lstm_layer",
+                             "lstm_layer", "joint", "rnnt_loss"]] * 5
     assert np.abs(np.subtract(got_values, want_values)).max() <= 1e-12
     for (name, _), got, want in zip(model.named_parameters(), got_grads, want_grads):
         assert np.abs(got - want).max() <= 1e-12, name

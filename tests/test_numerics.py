@@ -127,18 +127,16 @@ def lstm_inputs(rng, t_len, layer_norm, d=3, hh=4):
     return [x, w, r, b, *ln]
 
 
-def lstm_replay(params):
-    """lstm_layer over (T, D) params[0], replayed from its own lstm_forward run
-    as a batch of one."""
-    x, *weights = params
-    return nm.lstm_layer(*params, run=nm.lstm_forward(x.data[:, None], *weights), col=0)
+def lstm_sequence(params):
+    """lstm_layer over the (T, D) sequence params[0]: a batch of one."""
+    return nm.lstm_layer(*params)
 
 
 def lstm_loss(params, seed):
     """f() for grad_check: sum(seed * lstm_layer(...)), forward and backward on a fresh tape."""
     def f():
         with Tape() as tape:
-            h = lstm_replay(params)
+            h = lstm_sequence(params)
             tape.backward(h, seed=seed)
         return float((h.data * seed).sum())
     return f
@@ -165,9 +163,9 @@ def test_lstm_layer_matches_per_step_reference(layer_norm):
     inputs = lstm_inputs(rng, 9, layer_norm, d=5, hh=6)
     want = reference_lstm(*(t.data for t in inputs))
     with Tape() as tape:
-        taped = lstm_replay(inputs)
+        taped = lstm_sequence(inputs)
     assert len(tape.records) == 1
-    untaped = lstm_replay(inputs)
+    untaped = lstm_sequence(inputs)
     assert np.abs(taped.data - want).max() <= 1e-12
     assert np.array_equal(untaped.data, taped.data)
 
@@ -181,11 +179,11 @@ def test_lstm_layer_matches_per_step_oracle_property(seed, t_len, d, hh, layer_n
     dh = rng.uniform(-1, 1, size=(t_len, hh))
     want, want_grads = reference_lstm(*(t.data for t in inputs), seed=dh)
     for p in inputs:
-        p.grad = np.zeros_like(p.data)  # a grad buffer on x asks for dX
+        p.grad = np.zeros_like(p.data)
     with Tape() as tape:
-        taped = lstm_replay(inputs)
+        taped = lstm_sequence(inputs)
         tape.backward(taped, seed=dh)
-    untaped = lstm_replay(inputs)
+    untaped = lstm_sequence(inputs)
     assert np.abs(taped.data - want).max() <= 1e-12
     assert np.array_equal(untaped.data, taped.data)
     for p, want_grad in zip(inputs, want_grads):
@@ -209,77 +207,124 @@ def test_untaped_batch_matches_per_sequence_calls(layer_norm):
         assert np.abs(out[: len(seq), col] - want).max() <= 1e-12
 
 
-def test_taped_batch_raises():
-    """A (T, B, D) input is rejected by the column check."""
-    rng = np.random.default_rng(44)
-    x, *params = lstm_inputs(rng, 4, layer_norm=False)
-    batch = x.data.reshape(2, 2, 3)
-    run = nm.lstm_forward(batch, *params)
-    with Tape() as tape, pytest.raises(ShapeError, match="column of a batch run"):
-        nm.lstm_layer(Tensor(batch), *params, run=run, col=0)
-    assert tape.records == []
+def ragged_batch(rng, seqs, d):
+    """``seqs`` right-padded into one (T, B, d) batch. The padding holds noise,
+    not zeros: no column may see another's rows or its own padding."""
+    batch = rng.uniform(-1, 1, size=(max(map(len, seqs)), len(seqs), d))
+    for col, seq in enumerate(seqs):
+        batch[: len(seq), col] = seq
+    return batch
 
 
-def replayed_columns(params, seqs, dhs, batch=None):
-    """Per sequence: the output and the grads of x and every param after one
-    taped lstm_layer call and its backward. With ``batch`` (the sequences
-    right-padded), every call replays its column of one lstm_forward run;
-    without, each sequence replays its own run as a batch of one."""
-    run = None if batch is None else nm.lstm_forward(batch, *params)
-    results = []
-    for col, (seq, dh) in enumerate(zip(seqs, dhs)):
-        x = Tensor(seq, grad=np.zeros_like(seq))  # a grad buffer on x asks for dX
-        for p in params:
-            p.zero_grad()
+def batched_columns(params, batch, lengths, dhs):
+    """One taped lstm_layer over ``batch`` and, per sequence, one batch_column
+    whose backward runs on its own tape with that sequence's dh as seed; then
+    one sweep of the batch's tape. Returns the per-sequence output rows and
+    input grads, and the summed param grads."""
+    x = Tensor(batch)  # a Tensor input gets dX
+    for p in params:
+        p.zero_grad()
+    with Tape() as batch_tape:
+        h = nm.lstm_layer(x, *params)
+    outs = []
+    for col, (n, dh) in enumerate(zip(lengths, dhs)):
         with Tape() as tape:
-            if batch is None:
-                out = lstm_replay([x, *params])
-            else:
-                out = nm.lstm_layer(x, *params, run=run, col=col)
+            out = nm.batch_column(h, col, n)
             tape.backward(out, seed=dh)
-        assert [rec.name for rec in tape.records] == ["lstm_layer"]
-        results.append([out.data, x.grad] + [p.grad for p in params])
-    return results
+        assert [rec.name for rec in tape.records] == ["batch_column"]
+        outs.append(out.data)
+    batch_tape.sweep()
+    assert [rec.name for rec in batch_tape.records] == ["lstm_layer"]
+    for col, n in enumerate(lengths):
+        assert not x.grad[n:, col].any()  # padded frames get no gradient
+    return outs, [x.grad[:n, col] for col, n in enumerate(lengths)], [p.grad for p in params]
 
 
-def assert_replay_matches_per_sequence_calls(rng, lengths, d, hh, layer_norm):
+def per_sequence_calls(params, seqs, dhs):
+    """The same from one taped lstm_layer call and backward per sequence."""
+    for p in params:
+        p.zero_grad()
+    outs, dxs = [], []
+    for seq, dh in zip(seqs, dhs):
+        x = Tensor(seq)
+        with Tape() as tape:
+            out = lstm_sequence([x, *params])
+            tape.backward(out, seed=dh)
+        outs.append(out.data)
+        dxs.append(x.grad)
+    return outs, dxs, [p.grad for p in params]
+
+
+def assert_batched_bptt_matches_per_sequence_calls(rng, lengths, d, hh, layer_norm):
     params = lstm_inputs(rng, 1, layer_norm, d=d, hh=hh)[1:]
     seqs = [rng.uniform(-1, 1, size=(n, d)) for n in lengths]
     dhs = [rng.uniform(-1, 1, size=(n, hh)) for n in lengths]
-    # padding frames hold noise, not zeros: no column may see another's rows
-    batch = rng.uniform(-1, 1, size=(max(lengths), len(seqs), d))
-    for col, seq in enumerate(seqs):
-        batch[: len(seq), col] = seq
-    for got, want in zip(replayed_columns(params, seqs, dhs, batch),
-                         replayed_columns(params, seqs, dhs)):
-        for g, w in zip(got, want):
+    got = batched_columns(params, ragged_batch(rng, seqs, d), lengths, dhs)
+    want = per_sequence_calls(params, seqs, dhs)
+    for got_part, want_part in zip(got, want):  # outputs, input grads, param grads
+        for g, w in zip(got_part, want_part):
             assert g.shape == w.shape
             assert np.abs(g - w).max() <= 1e-12
 
 
 @pytest.mark.parametrize("layer_norm", [False, True])
-def test_batch_column_replay_matches_per_sequence_calls(layer_norm):
-    assert_replay_matches_per_sequence_calls(np.random.default_rng(45), [5, 1, 7, 3],
-                                             d=5, hh=6, layer_norm=layer_norm)
+def test_batched_bptt_matches_per_sequence_calls(layer_norm):
+    assert_batched_bptt_matches_per_sequence_calls(np.random.default_rng(45), [5, 1, 7, 3],
+                                                   d=5, hh=6, layer_norm=layer_norm)
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
        d=st.integers(1, 6), hh=st.integers(1, 7), layer_norm=st.booleans())
-def test_batch_column_replay_matches_per_sequence_calls_property(seed, lengths, d, hh,
-                                                                 layer_norm):
-    assert_replay_matches_per_sequence_calls(np.random.default_rng(seed), lengths, d, hh,
-                                             layer_norm)
+def test_batched_bptt_matches_per_sequence_calls_property(seed, lengths, d, hh, layer_norm):
+    assert_batched_bptt_matches_per_sequence_calls(np.random.default_rng(seed), lengths, d, hh,
+                                                   layer_norm)
 
 
-@pytest.mark.parametrize("t_len, col", [(5, 0), (0, 0), (2, 2), (2, -1)])
-def test_replay_outside_the_run_raises(t_len, col):
-    rng = np.random.default_rng(46)
-    params = lstm_inputs(rng, 1, layer_norm=False)[1:]
-    run = nm.lstm_forward(rng.uniform(-1, 1, size=(4, 2, 3)), *params)
-    with Tape() as tape, pytest.raises(ShapeError, match="column of a batch run"):
-        nm.lstm_layer(Tensor(np.zeros((t_len, 3))), *params, run=run, col=col)
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_batched_lstm_layer_gradients(layer_norm):
+    """Central differences through a B=3 batch of ragged lengths (T=1 among
+    them), each column's loss on its own tape, then one sweep of the batch's."""
+    rng = np.random.default_rng(47)
+    params = lstm_inputs(rng, 1, layer_norm)[1:]
+    lengths = [4, 1, 3]
+    x = Tensor(ragged_batch(rng, [rng.uniform(-1, 1, size=(n, 3)) for n in lengths], 3))
+    seeds = [rng.uniform(-1, 1, size=(n, 4)) for n in lengths]
+
+    def f():
+        with Tape() as batch_tape:
+            h = nm.lstm_layer(x, *params)
+        total = 0.0
+        for col, (n, seed) in enumerate(zip(lengths, seeds)):
+            with Tape() as tape:
+                out = nm.batch_column(h, col, n)
+                tape.backward(out, seed=seed)
+            total += float((out.data * seed).sum())
+        batch_tape.sweep()
+        return total
+
+    assert grad_check(f, [x, *params], eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("rows, col", [(5, 0), (0, 0), (2, 2), (2, -1)])
+def test_batch_column_outside_the_batch_raises(rows, col):
+    h = Tensor(np.zeros((4, 2, 3)))
+    with Tape() as tape, pytest.raises(ShapeError, match="outside a"):
+        nm.batch_column(h, col, rows)
     assert tape.records == []
+
+
+def test_second_sweep_over_an_lstm_record_raises():
+    """BPTT writes dz over the run's gate buffer: a second backward would read
+    gradients as gates, so it raises and leaves the grads as they were."""
+    params = lstm_inputs(np.random.default_rng(48), 3, layer_norm=False)
+    with Tape() as tape:
+        h = lstm_sequence(params)
+        tape.backward(h, seed=np.ones(h.shape))
+    first = [p.grad.copy() for p in params]
+    with pytest.raises(NumericsError, match="second backward"):
+        tape.sweep()
+    assert all(np.array_equal(p.grad, g) for p, g in zip(params, first))
 
 
 # a fixed seed per op, so a failing case replays exactly; "add_row" and "outer_add"
