@@ -39,9 +39,9 @@ def _score_line(token_error: float, mean_delay: float | None) -> str:
 
 def _cmd_gen_corpus(args) -> int:
     cfg = _load_config(args.config)
+    train, test = gen_corpus(cfg)  # a rejected config leaves no directory behind
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train, test = gen_corpus(cfg)
     save_corpus(out / "train.jsonl", train)
     save_corpus(out / "test.jsonl", test)
     print(f"wrote {len(train)} train / {len(test)} test utterances to {out}")

@@ -122,8 +122,9 @@ def load_corpus(path, model: ModelConfig | None = None,
                 continue
             try:
                 utt = utterance_from_json(line.decode())
-            except (KeyError, TypeError, ValueError, ShapeError) as exc:
-                # ValueError covers bad JSON or UTF-8, ShapeError an empty or pieceless word span
+            except (KeyError, TypeError, ValueError, OverflowError, ShapeError) as exc:
+                # ValueError covers bad JSON or UTF-8, OverflowError an int feature past the
+                # float range, ShapeError an empty or pieceless word span
                 raise ConfigError(f"{path}:{lineno}: malformed utterance ({exc!r})") from exc
             if model is not None:
                 try:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numerics as nm
 from . import pretrain as pt
 from .alignment import WordSpan, build_frame_alignment, collapse
 from .corpus import Utterance, check_utterance, corpus_hash, piece_word_map, save_corpus
@@ -34,64 +35,53 @@ from .model import (ModelConfig, TransducerModel, check_field_types, reject_unkn
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. Each numeric field declares its lower bound in its
+    metadata; ``__post_init__`` adds the rules that tie fields together."""
+
     model: ModelConfig = field(default_factory=ModelConfig)
-    seed: int = 12345
-    space_id: int = 0
+    seed: int = field(default=12345, metadata={">=": 0})
+    space_id: int = field(default=0, metadata={">=": 0})
     # corpus shape
-    num_train: int = 80
-    num_test: int = 30
-    words_per_utt: tuple[int, int] = (2, 4)
-    pieces_per_word: tuple[int, int] = (1, 3)
-    piece_frames: tuple[int, int] = (2, 6)
-    gap_choices: tuple[int, ...] = (0, 1, 2, 3)
-    gap_weights: tuple[float, ...] = (0.35, 0.30, 0.20, 0.15)
-    noise: float = 0.3
+    num_train: int = field(default=80, metadata={">=": 0})
+    num_test: int = field(default=30, metadata={">=": 0})
+    words_per_utt: tuple[int, int] = field(default=(2, 4), metadata={">=": 1})
+    pieces_per_word: tuple[int, int] = field(default=(1, 3), metadata={">=": 1})
+    piece_frames: tuple[int, int] = field(default=(2, 6), metadata={">=": 1})
+    gap_choices: tuple[int, ...] = field(default=(0, 1, 2, 3), metadata={">=": 0})
+    gap_weights: tuple[float, ...] = field(default=(0.35, 0.30, 0.20, 0.15), metadata={">=": 0})
+    noise: float = field(default=0.3, metadata={">=": 0})
     # schedule
     arms: tuple[str, ...] = ("random", "ctc", "encoder_ce",
                              "whole_y1", "whole_y2", "whole_y3")
-    pretrain_epochs: int = 10
+    pretrain_epochs: int = field(default=10, metadata={">=": 0})
     # pre-training is the initialization, so its dose may differ per arm
-    pretrain_epochs_by_arm: dict[str, int] = field(default_factory=dict)
-    pretrain_lr: float = 1e-3
-    train_epochs: int = 10
-    learning_rate: float = 1e-3
-    batch_size: int = 8
-    grad_clip: float = 5.0
-    beam_width: int = 5
-    max_symbols_per_frame: int = 4
+    pretrain_epochs_by_arm: dict[str, int] = field(default_factory=dict, metadata={">=": 0})
+    pretrain_lr: float = field(default=1e-3, metadata={">": 0})
+    train_epochs: int = field(default=10, metadata={">=": 0})
+    learning_rate: float = field(default=1e-3, metadata={">": 0})
+    batch_size: int = field(default=8, metadata={">=": 1})
+    grad_clip: float = field(default=5.0, metadata={">=": 0})
+    beam_width: int = field(default=5, metadata={">=": 1})
+    max_symbols_per_frame: int = field(default=4, metadata={">=": 1})
 
     def __post_init__(self):
         check_field_types(self)
         if self.model.vocab_size < 3:
             raise ConfigError("corpus needs the space token plus at least 2 content tokens")
         for lo, hi in (self.words_per_utt, self.pieces_per_word, self.piece_frames):
-            if not (1 <= lo <= hi):
+            if lo > hi:
                 raise ConfigError(f"bad range ({lo}, {hi}) in corpus parameters")
         if len(self.gap_choices) != len(self.gap_weights) or not self.gap_choices:
             raise ConfigError("gap_choices and gap_weights must be nonempty and equal length")
         if abs(sum(self.gap_weights) - 1.0) > 1e-9:
             raise ConfigError("gap_weights must sum to 1")
-        for name in ("gap_choices", "gap_weights"):
-            if min(getattr(self, name)) < 0:
-                raise ConfigError(f"{name} entries must be >= 0, got {getattr(self, name)}")
-        if not (0 <= self.space_id < self.model.vocab_size):
+        if self.space_id >= self.model.vocab_size:
             raise ConfigError("space_id must be a vocabulary token")
-        for name, low in (("seed", 0), ("num_train", 0), ("num_test", 0), ("noise", 0),
-                          ("grad_clip", 0), ("pretrain_epochs", 0), ("train_epochs", 0),
-                          ("batch_size", 1), ("beam_width", 1), ("max_symbols_per_frame", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("learning_rate", "pretrain_lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         # every later reader sees canonical arm names only
         self.arms = tuple(_canonical_arms("arms", self.arms))
         by_arm = self.pretrain_epochs_by_arm
         self.pretrain_epochs_by_arm = dict(zip(_canonical_arms("pretrain_epochs_by_arm", by_arm),
                                                by_arm.values()))
-        for arm, epochs in self.pretrain_epochs_by_arm.items():
-            if epochs < 0:
-                raise ConfigError(f"pretrain_epochs_by_arm: {arm} must be >= 0, got {epochs}")
 
     def to_dict(self) -> dict:
         d = {k: list(v) if k in _TUPLE_FIELDS else v
@@ -235,7 +225,8 @@ def evaluate_model(model: TransducerModel, corpus: list[Utterance],
 
     Both searches share one decoder per utterance: the encoder runs once, and
     greedy reuses the prediction states the beam cached (the beam always
-    keeps greedy's path)."""
+    keeps greedy's path). Weights so large that a float overflows while
+    decoding raise ``NumericsError`` naming the utterance."""
     mc = model.config
     total_edits = 0
     total_ref = 0
@@ -243,12 +234,13 @@ def evaluate_model(model: TransducerModel, corpus: list[Utterance],
     nbest_entries = []
     for utt in corpus:
         stacked = stack_frames(utt.features, mc.stack_factor, mc.stack_stride)
-        dec = ModelDecoder(model, stacked)
-        best, nbest = beam_decode(dec, beam_width=cfg.beam_width,
-                                  max_symbols_per_frame=cfg.max_symbols_per_frame)
+        with nm.diverged_as_error(f"decoding utterance {utt.utt_id}"):
+            dec = ModelDecoder(model, stacked)
+            best, nbest = beam_decode(dec, beam_width=cfg.beam_width,
+                                      max_symbols_per_frame=cfg.max_symbols_per_frame)
+            greedy = greedy_decode(dec, max_symbols_per_frame=cfg.max_symbols_per_frame)
         total_edits += edit_distance(best.prefix, utt.transcript)
         total_ref += len(utt.transcript)
-        greedy = greedy_decode(dec, max_symbols_per_frame=cfg.max_symbols_per_frame)
         delay = delay.merge(measure_delay(greedy, utt.words, piece_word_map(utt),
                                           utt.transcript))
         nbest_entries.append((utt.utt_id, nbest))
@@ -378,11 +370,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Run every arm head-to-head on one corpus; write metrics.csv,
     summary.json, and per-arm n-best / delay files. A failing arm is
     recorded and the remaining arms continue."""
+    chash = cfg.config_hash()
+    train_corpus, test_corpus = gen_corpus(cfg)  # a rejected config leaves no directory behind
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    chash = cfg.config_hash()
-
-    train_corpus, test_corpus = gen_corpus(cfg)
     save_corpus(out_dir / "train.jsonl", train_corpus)
     save_corpus(out_dir / "test.jsonl", test_corpus)
 

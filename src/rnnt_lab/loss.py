@@ -109,6 +109,16 @@ def rnnt_lattice(logits, targets, blank: int) -> LogLattice:
     return LogLattice(alpha=alpha, beta=beta, log_probs=lp)
 
 
+def _occupancy(loss: str, log_occ: np.ndarray) -> np.ndarray:
+    """exp of log occupancies. Each is at most 1 in exact arithmetic; logits so
+    large that rounding pushes one past the float range raise NumericsError."""
+    with np.errstate(over="ignore"):
+        occ = np.exp(log_occ)
+    if not np.isfinite(occ).all():
+        raise NumericsError(f"{loss}: non-finite occupancy; the logits are too large")
+    return occ
+
+
 def rnnt_loss(logits, targets, blank: int) -> LossOutput:
     """Negative log marginal probability of the target sequence, with the
     exact gradient from forward/backward transition occupancies."""
@@ -125,14 +135,14 @@ def rnnt_loss(logits, targets, blank: int) -> LossOutput:
     after_blank = np.full((t_len, u_rows), NEG_INF)
     after_blank[: t_len - 1, :] = beta[1:, :]
     after_blank[t_len - 1, u_len] = 0.0
-    occ_blank = np.exp(alpha + lp[:, :, blank] + after_blank - loglik)
+    occ_blank = _occupancy("rnnt", alpha + lp[:, :, blank] + after_blank - loglik)
 
     # d(-loglik)/dz = softmax * (total occupancy of the cell) - occupancy of each arc
     occ = occ_blank.copy()
     if u_len:
         cols = np.arange(u_len)
         lab = np.asarray(targets, dtype=np.int64)
-        occ_lab = np.exp(alpha[:, :u_len] + lp[:, cols, lab] + beta[:, 1:] - loglik)
+        occ_lab = _occupancy("rnnt", alpha[:, :u_len] + lp[:, cols, lab] + beta[:, 1:] - loglik)
         occ[:, :u_len] += occ_lab
     grad_z = np.exp(lp) * occ[:, :, None]
     grad_z[:, :, blank] -= occ_blank
@@ -232,7 +242,7 @@ def ctc_loss(logits, targets, blank: int) -> LossOutput:
 
     # occupancy of expanded state s at frame t; alpha and beta both carry the
     # emission at (t, s), so divide it out once
-    gamma = np.exp(alpha + beta - emit - loglik)
+    gamma = _occupancy("ctc", alpha + beta - emit - loglik)
     grad_lp = np.zeros_like(lp)
     np.subtract.at(grad_lp, (slice(None), ext), gamma)
     grad_z = grad_lp - np.exp(lp) * grad_lp.sum(axis=-1, keepdims=True)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import copy
 import json
 import numbers
+import operator
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -27,24 +28,21 @@ from .numerics import Tensor
 
 @dataclass
 class ModelConfig:
-    """Desk-scale defaults; every extent is config-reachable up to production sizes."""
+    """Desk-scale defaults; every extent is config-reachable up to production sizes.
+    A field's metadata declares its lower bound, which ``check_field_types`` checks."""
 
-    input_dim: int = 8
-    stack_factor: int = 4
-    stack_stride: int = 2
-    encoder_layers: int = 2
-    prediction_layers: int = 1
-    hidden: int = 64
-    projection: int = 32
-    vocab_size: int = 10
+    input_dim: int = field(default=8, metadata={">=": 1})
+    stack_factor: int = field(default=4, metadata={">=": 1})
+    stack_stride: int = field(default=2, metadata={">=": 1})
+    encoder_layers: int = field(default=2, metadata={">=": 1})
+    prediction_layers: int = field(default=1, metadata={">=": 1})
+    hidden: int = field(default=64, metadata={">=": 1})
+    projection: int = field(default=32, metadata={">=": 1})
+    vocab_size: int = field(default=10, metadata={">=": 1})
     use_layer_norm: bool = False
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("input_dim", "stack_factor", "stack_stride", "encoder_layers",
-                     "prediction_layers", "hidden", "projection", "vocab_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"ModelConfig.{name} must be positive, got {getattr(self, name)}")
 
     @property
     def encoder_input_dim(self) -> int:
@@ -77,18 +75,31 @@ def reject_unknown_keys(cls, d: dict) -> None:
         raise ConfigError(f"{cls.__name__}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
+# a field's lower bound, declared in its metadata as {">=": low} or {">": low}
+_LOWER_BOUNDS = {">=": operator.ge, ">": operator.gt}
+
+
 def check_field_types(obj) -> None:
     """ConfigError naming the first field of dataclass ``obj`` whose value
     does not match its annotation (int, float, bool, str, a dataclass, or a
-    tuple or dict of those); a float field takes an int but no NaN or infinity,
-    no number field a bool."""
+    tuple or dict of those), or falls below the lower bound its metadata
+    declares; a float field takes an int but no NaN or infinity, no number
+    field a bool, and a bound holds for each entry of a tuple or value of a dict."""
     hints = _type_hints(type(obj))
     for f in fields(obj):
         value, hint = getattr(obj, f.name), hints[f.name]
+        where = f"{type(obj).__name__}.{f.name}"
         if not _has_type(value, hint):
             name = hint.__name__ if typing.get_origin(hint) is None else str(hint)
             name = name.replace("float", "finite float")
-            raise ConfigError(f"{type(obj).__name__}.{f.name} must be {name}, got {value!r}")
+            raise ConfigError(f"{where} must be {name}, got {value!r}")
+        entries = (value,)
+        if isinstance(value, (tuple, dict)):  # a bound holds for each entry
+            entries = value.values() if isinstance(value, dict) else value
+            where += " entries"
+        for op, low in f.metadata.items():
+            if not all(_LOWER_BOUNDS[op](v, low) for v in entries):
+                raise ConfigError(f"{where} must be {op} {low}, got {value}")
 
 
 @lru_cache(maxsize=None)
@@ -375,8 +386,8 @@ class TransducerModel:
         """Joint logits of one encoder row against one (H,) or n stacked (n, H)
         prediction rows: (K+1,) or (n, K+1)."""
         jp = self.joint_params
-        s = h_enc_row @ jp.w_enc.data + h_pre_row @ jp.w_pre.data + jp.b.data
-        return s @ jp.w_out.data + jp.b_out.data
+        return nm.joint_output(h_enc_row @ jp.w_enc.data, h_pre_row @ jp.w_pre.data,
+                               jp.b.data, jp.w_out.data, jp.b_out.data)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +443,7 @@ def _checkpoint_tensor(name: str, rec) -> np.ndarray:
         raise ConfigError(f"tensor {name!r}: need a {{shape, data}} object")
     try:
         data = np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # Overflow: an int past the float range
         raise ConfigError(f"tensor {name!r}: {exc}") from exc
     if not np.isfinite(data).all():
         raise ConfigError(f"tensor {name!r}: non-finite value")

@@ -14,6 +14,7 @@ of all its contributions. Callers zero grads between steps.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -153,9 +154,9 @@ def joint(h_enc: Tensor, h_pre: Tensor, w_enc: Tensor, w_pre: Tensor, b: Tensor,
             or b.shape != (proj,) or w_out.shape[0] != proj or b_out.shape != (w_out.shape[1],)):
         raise ShapeError(f"joint: shapes {h_enc.shape}, {h_pre.shape}, {w_enc.shape}, "
                          f"{w_pre.shape}, {b.shape}, {w_out.shape}, {b_out.shape} incompatible")
-    s = (h_enc.data @ w_enc.data)[:, None] + (h_pre.data @ w_pre.data)[None]
-    s += b.data
-    out = Tensor(s @ w_out.data + b_out.data)
+    s, logits = joint_output((h_enc.data @ w_enc.data)[:, None], h_pre.data @ w_pre.data,
+                             b.data, w_out.data, b_out.data)
+    out = Tensor(logits)
     n_out = w_out.shape[1]
 
     def backward(g):
@@ -171,6 +172,17 @@ def joint(h_enc: Tensor, h_pre: Tensor, w_enc: Tensor, w_pre: Tensor, b: Tensor,
 
     _record("joint", (h_enc, h_pre, w_enc, w_pre, b, w_out, b_out), out, backward)
     return out
+
+
+def joint_output(e: np.ndarray, p: np.ndarray, b: np.ndarray, w_out: np.ndarray,
+                 b_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The joint's untaped forward from its projected encoder side ``e`` and
+    prediction side ``p``, which broadcast against each other: the hidden
+    s = (e + p) + b and the logits s @ w_out + b_out, returned as (s, logits).
+    ``joint`` (training) and ``TransducerModel.joint_row`` (decoding) share it."""
+    s = e + p
+    s += b
+    return s, s @ w_out + b_out
 
 
 def log_softmax_array(z: np.ndarray) -> np.ndarray:
@@ -506,6 +518,18 @@ class Adam:
             m[...] = self.beta1 * m + (1.0 - self.beta1) * g
             v[...] = self.beta2 * v + (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+@contextmanager
+def diverged_as_error(where: str):
+    """Run a block with numpy's float overflow, invalid and divide results
+    raised instead of warned of: they, and any ``NumericsError``, leave the
+    block as one ``NumericsError`` that starts with ``where``."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (NumericsError, FloatingPointError) as exc:
+        raise NumericsError(f"{where}: {exc}") from exc
 
 
 def grad_check(f: Callable[[], float], params: Sequence[Tensor], eps: float = 1e-5) -> float:

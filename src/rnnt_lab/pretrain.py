@@ -30,9 +30,9 @@ import numpy as np
 from . import loss as losses
 from .alignment import collapse, short_pause_spans
 from .corpus import Utterance, corpus_hash
-from .errors import DegenerateUtterance, NumericsError, ShapeError
+from .errors import DegenerateUtterance, ShapeError
 from .model import Affine, TransducerModel, stack_frames
-from .numerics import Adam, Tape, Tensor
+from .numerics import Adam, Tape, Tensor, diverged_as_error
 
 
 @dataclass
@@ -168,8 +168,9 @@ def train_with_loss(params, items, loss_fn, *, epochs: int, lr: float = 1e-3,
     ``Tape.backward`` runs before the next item starts, then the minibatch tape
     sweeps once (batched BPTT). Grads are scaled by the batch's total weight,
     clipped and stepped with Adam; epoch entries are sum(value)/sum(weight).
-    ``on_epoch_end(epoch, loss)`` runs after each epoch when given. A
-    non-finite gradient raises ``NumericsError`` naming the epoch and minibatch."""
+    ``on_epoch_end(epoch, loss)`` runs after each epoch when given. A step
+    that diverges (a ``NumericsError``, or a float overflow, invalid or divide
+    result) raises one ``NumericsError`` naming the epoch and minibatch."""
     if not items:
         raise ShapeError("train_with_loss: empty item list")
     opt = Adam(params, lr=lr, clip_norm=grad_clip)
@@ -178,29 +179,26 @@ def train_with_loss(params, items, loss_fn, *, epochs: int, lr: float = 1e-3,
         order = np.random.default_rng([seed, 7701, epoch]).permutation(len(items))
         epoch_value = epoch_weight = 0.0
         for start in range(0, len(order), batch_size):
-            opt.zero_grad()
-            batch_weight = 0.0
-            batch = [items[idx] for idx in order[start : start + batch_size]]
-            with Tape() as batch_tape:
-                item_loss = loss_fn(batch)
-            for j in range(len(batch)):
-                with Tape() as tape:
-                    value, node, weight = item_loss(j)
-                    tape.backward(node)
-                batch_weight += weight
-                epoch_value += value
-            batch_tape.sweep()
-            del item_loss, tape, batch_tape  # free the minibatch's buffers before the next one's
-            epoch_weight += batch_weight
-            if batch_weight > 0:
-                for p in params:
-                    if p.grad is not None:
-                        p.grad /= batch_weight
-            try:
+            with diverged_as_error(f"epoch {epoch + 1}, minibatch {start // batch_size + 1}"):
+                opt.zero_grad()
+                batch_weight = 0.0
+                batch = [items[idx] for idx in order[start : start + batch_size]]
+                with Tape() as batch_tape:
+                    item_loss = loss_fn(batch)
+                for j in range(len(batch)):
+                    with Tape() as tape:
+                        value, node, weight = item_loss(j)
+                        tape.backward(node)
+                    batch_weight += weight
+                    epoch_value += value
+                batch_tape.sweep()
+                del item_loss, tape, batch_tape  # free this minibatch's buffers before the next's
+                epoch_weight += batch_weight
+                if batch_weight > 0:
+                    for p in params:
+                        if p.grad is not None:
+                            p.grad /= batch_weight
                 opt.step()
-            except NumericsError as exc:
-                raise NumericsError(f"epoch {epoch + 1}, minibatch "
-                                    f"{start // batch_size + 1}: {exc}") from exc
         history.append(epoch_value / max(epoch_weight, 1e-300))
         if on_epoch_end is not None:
             on_epoch_end(epoch, history[-1])

@@ -151,7 +151,27 @@ def test_noise_that_overflows_the_features_is_one_error_line_before_training(
     captured = capsys.readouterr()
     assert captured.err.startswith("error: noise 1e+308: utterance train-0000: "), captured.err
     assert "non-finite" in captured.err and captured.err.count("\n") == 1
-    assert captured.out == "" and not list(out_dir.glob("*.*"))
+    assert captured.out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("learning_rate, batch_size, message", [
+    (1e10, 2, "epoch 1, minibatch 2: rnnt: non-finite occupancy"),
+    (1e300, 2, "epoch 1, minibatch 2: overflow encountered in matmul"),
+    (1e300, 4, "decoding utterance test-0000: overflow encountered in matmul"),
+], ids=["lr-1e10", "lr-1e300", "lr-1e300-last-step"])
+def test_diverging_run_fails_the_arm_as_one_numerics_error(tmp_path, config_path, capsys,
+                                                           learning_rate, batch_size, message):
+    record = json.loads(open(config_path).read())
+    record.update(learning_rate=learning_rate, batch_size=batch_size)
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps(record))
+    out_dir = tmp_path / "exp"
+    # tier-1 makes any RuntimeWarning an error, so an overflow warned of fails here
+    assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"random: FAILED ({message}") and captured.err == ""
+    error = json.loads((out_dir / "summary.json").read_text())["arms"]["random"]["error"]
+    assert error.startswith(message)
 
 
 def test_malformed_json_config_exits_nonzero(tmp_path, capsys):
@@ -215,8 +235,10 @@ CHECKPOINT_HEAD = {"format": "rnnt-lab-checkpoint", "version": 1, "config": {}}
     ({**CHECKPOINT_HEAD, "tensors": {"embedding": {"data": [1, 2]}}},
      "tensor 'embedding': need a {shape, data} object"),
     ({**CHECKPOINT_HEAD, "tensors": [1, 2]}, "'tensors' must be an object, got list"),
+    ({**CHECKPOINT_HEAD, "tensors": {"embedding": {"shape": [1], "data": [10 ** 400]}}},
+     "tensor 'embedding': int too large to convert to float"),
 ], ids=["not-an-object", "data-short-of-shape", "record-not-an-object", "record-without-shape",
-        "tensors-not-an-object"])
+        "tensors-not-an-object", "int-past-float-range"])
 def test_malformed_checkpoint_is_one_error_line_naming_the_file(tmp_path, config_path, capsys,
                                                                 payload, message):
     ckpt = tmp_path / "model.json"
@@ -344,6 +366,8 @@ CORPUS_DEFECTS = {
     "span-float-end": (lambda r: r["words"][1].update(end=11.0), "span bounds 9, 11.0 must be int"),
     "span-empty": (lambda r: r["words"][1].update(end=9), "empty range [9, 9)"),
     "word-no-pieces": (lambda r: r["words"][0].update(pieces=[]), "no pieces"),
+    "int-feature-past-float-range": (lambda r: r["features"][1].__setitem__(0, 10 ** 400),
+                                     "int too large to convert to float"),
 }
 
 

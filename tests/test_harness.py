@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,3 +255,15 @@ def test_out_of_range_schedule_value_names_file_and_field(tmp_path, field_name, 
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_json(path)
     assert str(path) in str(err.value) and field_name in str(err.value)
+
+
+def test_readme_lists_each_config_bound_as_declared():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `((?:model\.)?\w+)` \|[^|\n]*\|[^|\n]*\|([^|\n]*)\|$", readme, re.M)
+    listed = {name: bound.strip() for name, bound in rows}
+    declared = {}
+    for cls, prefix in ((ExperimentConfig, ""), (ModelConfig, "model.")):
+        for f in dataclasses.fields(cls):
+            if f.name != "model":
+                declared[prefix + f.name] = " ".join(f"{op} {low}" for op, low in f.metadata.items())
+    assert listed == declared

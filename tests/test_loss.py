@@ -197,6 +197,16 @@ def test_losses_reject_non_finite_logits():
                 ctc_loss(logits[:, 0], [1], blank=3)
 
 
+def test_losses_on_logits_past_the_float_range_of_their_occupancies_raise():
+    # finite logits of scale 1e20: here rounding in alpha + beta - loglik
+    # leaves exponents far above 709, so an occupancy overflows to infinity
+    logits = random_logits(np.random.default_rng(0), 6, 3, 5, scale=1e20)
+    with pytest.raises(NumericsError, match="rnnt: non-finite occupancy"):
+        rnnt_loss(logits, [1, 2, 1], blank=4)
+    with pytest.raises(NumericsError, match="ctc: non-finite occupancy"):
+        ctc_loss(logits[:, 0], [1, 2, 1], blank=4)
+
+
 def test_rnnt_brute_force_single_path():
     rng = np.random.default_rng(3)
     logits = random_logits(rng, 1, 0, 4)
