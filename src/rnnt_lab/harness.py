@@ -198,22 +198,14 @@ def train_transducer(model: TransducerModel, corpus: list[Utterance],
     """Main RNN-T training; the one code path every arm shares. Reported
     epoch losses are summed utterance losses over total target length."""
     mc = model.config
-    items = [(stack_frames(utt.features, mc.stack_factor, mc.stack_stride), utt.transcript)
-             for utt in corpus]
+    items = [(stack_frames(utt.features, mc.stack_factor, mc.stack_stride), utt.transcript,
+              utt.transcript) for utt in corpus]
 
-    def loss_fn(batch):
-        h_enc = model.encode_batch([stacked for stacked, _ in batch])
-        h_pre = model.predict_batch([transcript for _, transcript in batch])
+    def loss(h_enc, h_pre, transcript):
+        out = rnnt_loss(model.joint(h_enc, h_pre), transcript, mc.blank_id)
+        return out.value, out.node, max(1.0, float(len(transcript)))
 
-        def item_loss(j):
-            stacked, transcript = batch[j]
-            logits = model.joint(model.encode(stacked, h_enc, j),
-                                 model.predict(transcript, h_pre, j))
-            out = rnnt_loss(logits, transcript, mc.blank_id)
-            return out.value, out.node, max(1.0, float(len(transcript)))
-        return item_loss
-
-    return pt.train_with_loss(model.parameters(), items, loss_fn,
+    return pt.train_with_loss(model, model.parameters(), items, loss,
                               epochs=cfg.train_epochs, lr=cfg.learning_rate,
                               batch_size=cfg.batch_size, grad_clip=cfg.grad_clip,
                               seed=cfg.seed, on_epoch_end=on_epoch_end)

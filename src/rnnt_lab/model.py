@@ -284,17 +284,6 @@ class TransducerModel:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_parameters()}
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        named = self.named_parameters()
-        unknown = sorted(set(state) - {name for name, _ in named})
-        if unknown:
-            raise ConfigError(f"unknown tensor(s) {', '.join(map(repr, unknown))} for this model")
-        for name, t in named:
-            src = np.asarray(state[name], dtype=np.float64)
-            if src.shape != t.data.shape:
-                raise ShapeError(f"parameter {name}: stored shape {src.shape} != model {t.data.shape}")
-            t.data[...] = src
-
     def clone(self) -> "TransducerModel":
         """An independent copy of config and weights, without gradients."""
         other = copy.deepcopy(self)
@@ -425,16 +414,57 @@ def load_checkpoint(path) -> TransducerModel:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     try:
-        model = TransducerModel(ModelConfig.from_dict(payload["config"]))
+        config = ModelConfig.from_dict(payload["config"])
         tensors = payload["tensors"]
         if not isinstance(tensors, dict):
             raise ConfigError(f"'tensors' must be an object, got {type(tensors).__name__}")
-        model.load_state({name: _checkpoint_tensor(name, rec) for name, rec in tensors.items()})
+        state = {name: _checkpoint_tensor(name, rec) for name, rec in tensors.items()}
+        _check_state(config, state)  # before any weight of the config's extents is allocated
+        model = TransducerModel(config)
+        for name, t in model.named_parameters():
+            t.data[...] = state[name]
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint lacks {exc}") from exc
     except (ConfigError, ShapeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return model
+
+
+def parameter_shapes(config: ModelConfig):
+    """(name, shape) of each parameter of ``TransducerModel(config)``, in
+    ``named_parameters`` order, without allocating any of them."""
+    h, p, gates = config.hidden, config.projection, 4 * config.hidden
+
+    def lstm(prefix, in_dim, num_layers):
+        for i in range(num_layers):
+            yield from ((f"{prefix}.l{i}.w", (in_dim if i == 0 else h, gates)),
+                        (f"{prefix}.l{i}.r", (h, gates)), (f"{prefix}.l{i}.b", (gates,)))
+            if config.use_layer_norm:
+                yield from ((f"{prefix}.l{i}.ln_gain", (gates,)),
+                            (f"{prefix}.l{i}.ln_bias", (gates,)))
+
+    yield from lstm("encoder", config.encoder_input_dim, config.encoder_layers)
+    yield "embedding", (config.vocab_size, h)
+    yield from lstm("prediction", h, config.prediction_layers)
+    yield from (("joint.w_enc", (h, p)), ("joint.w_pre", (h, p)), ("joint.b", (p,)),
+                ("joint.w_out", (p, config.num_classes)), ("joint.b_out", (config.num_classes,)))
+
+
+def _check_state(config: ModelConfig, state: dict[str, np.ndarray]) -> None:
+    """KeyError naming the first parameter of ``config`` that ``state`` lacks,
+    ShapeError naming the first stored at another shape, then ConfigError
+    naming every tensor of ``state`` the model lacks. The walk stops at the
+    first missing name, so a config of many layers costs no more than the
+    tensors ``state`` holds."""
+    names = set()
+    for name, shape in parameter_shapes(config):
+        stored = state[name].shape
+        if stored != shape:
+            raise ShapeError(f"parameter {name}: stored shape {stored} != model {shape}")
+        names.add(name)
+    unknown = sorted(set(state) - names)
+    if unknown:
+        raise ConfigError(f"unknown tensor(s) {', '.join(map(repr, unknown))} for this model")
 
 
 def _checkpoint_tensor(name: str, rec) -> np.ndarray:

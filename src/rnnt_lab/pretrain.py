@@ -159,18 +159,23 @@ class PretrainReport:
         }
 
 
-def train_with_loss(params, items, loss_fn, *, epochs: int, lr: float = 1e-3,
-                    batch_size: int = 8, grad_clip: float = 5.0, seed: int = 0,
-                    on_epoch_end=None) -> list[float]:
-    """Generic minibatch loop. ``loss_fn(batch)``, under the minibatch's tape,
-    runs the items' shared forward work and returns ``item_loss``; ``item_loss(j)``,
-    under item j's own tape, returns (value, node, weight). Each item's
-    ``Tape.backward`` runs before the next item starts, then the minibatch tape
-    sweeps once (batched BPTT). Grads are scaled by the batch's total weight,
-    clipped and stepped with Adam; epoch entries are sum(value)/sum(weight).
-    ``on_epoch_end(epoch, loss)`` runs after each epoch when given. A step
-    that diverges (a ``NumericsError``, or a float overflow, invalid or divide
-    result) raises one ``NumericsError`` naming the epoch and minibatch."""
+def train_with_loss(model: TransducerModel, params, items, loss, *, epochs: int,
+                    lr: float = 1e-3, batch_size: int = 8, grad_clip: float = 5.0,
+                    seed: int = 0, on_epoch_end=None) -> list[float]:
+    """The one minibatch loop. Each item is ``(frames, prefix, target)``:
+    stacked features or None, a label prefix or None, and what ``loss``
+    scores. Under the minibatch's tape, ``model.encode_batch`` runs over the
+    batch's frames and ``model.predict_batch`` over its prefixes, each only
+    when the items have that side. Under item j's own tape,
+    ``loss(model.encode(x, h_enc, j), model.predict(y, h_pre, j), target)``,
+    with None for a side the items lack, returns (value, node, weight), and
+    ``Tape.backward`` runs before the next item starts; then the minibatch
+    tape sweeps once (batched BPTT). Grads are scaled by the batch's total
+    weight, clipped and stepped with Adam; epoch entries are
+    sum(value)/sum(weight). ``on_epoch_end(epoch, loss)`` runs after each
+    epoch when given. A step that diverges (a ``NumericsError``, or a float
+    overflow, invalid or divide result) raises one ``NumericsError`` naming
+    the epoch and minibatch."""
     if not items:
         raise ShapeError("train_with_loss: empty item list")
     opt = Adam(params, lr=lr, clip_norm=grad_clip)
@@ -182,17 +187,21 @@ def train_with_loss(params, items, loss_fn, *, epochs: int, lr: float = 1e-3,
             with diverged_as_error(f"epoch {epoch + 1}, minibatch {start // batch_size + 1}"):
                 opt.zero_grad()
                 batch_weight = 0.0
-                batch = [items[idx] for idx in order[start : start + batch_size]]
+                batch = [items[i] for i in order[start : start + batch_size]]
+                frames, prefixes, targets = zip(*batch)
                 with Tape() as batch_tape:
-                    item_loss = loss_fn(batch)
-                for j in range(len(batch)):
+                    h_enc = None if frames[0] is None else model.encode_batch(frames)
+                    h_pre = None if prefixes[0] is None else model.predict_batch(prefixes)
+                for j, (x, y, target) in enumerate(zip(frames, prefixes, targets)):
                     with Tape() as tape:
-                        value, node, weight = item_loss(j)
+                        value, node, weight = loss(
+                            None if x is None else model.encode(x, h_enc, j),
+                            None if y is None else model.predict(y, h_pre, j), target)
                         tape.backward(node)
                     batch_weight += weight
                     epoch_value += value
                 batch_tape.sweep()
-                del item_loss, tape, batch_tape  # free this minibatch's buffers before the next's
+                del h_enc, h_pre, tape, batch_tape  # free this minibatch's buffers
                 epoch_weight += batch_weight
                 if batch_weight > 0:
                     for p in params:
@@ -227,21 +236,16 @@ def pretrain_encoder_ce(model: TransducerModel, corpus: list[Utterance], *, spac
     alignment; the classifier head is freshly seeded and thrown away, only
     the encoder weights transfer."""
     cfg = model.config
-    items, skipped = _aligned_items(model, corpus, space_id)
+    aligned, skipped = _aligned_items(model, corpus, space_id)
+    items = [(stacked, None, labels) for _, stacked, labels in aligned]
     fc = Affine(cfg.hidden, cfg.num_classes, np.random.default_rng([seed, 0xFC]))
-    params = model.encoder_parameters() + fc.parameters()
 
-    def loss_fn(batch):
-        h_enc = model.encode_batch([stacked for _, stacked, _ in batch])
+    def loss(h_enc, _, labels):
+        out = losses.frame_ce_loss(h_enc, fc, labels)
+        return out.value, out.node, 1.0
 
-        def item_loss(j):
-            _, stacked, labels = batch[j]
-            out = losses.frame_ce_loss(model.encode(stacked, h_enc, j), fc, labels)
-            return out.value, out.node, 1.0
-        return item_loss
-
-    history = train_with_loss(params, items, loss_fn, epochs=epochs, lr=lr,
-                              batch_size=batch_size, seed=seed)
+    history = train_with_loss(model, model.encoder_parameters() + fc.parameters(), items, loss,
+                              epochs=epochs, lr=lr, batch_size=batch_size, seed=seed)
     return PretrainReport("enc-ce", epochs, corpus_hash(corpus), skipped, history,
                           extras={"frame_accuracy": _frame_accuracy(model, fc, items,
                                                                     batch_size)})
@@ -254,7 +258,7 @@ def _frame_accuracy(model: TransducerModel, fc: Affine, items, batch_size: int) 
     hits = total = 0
     for start in range(0, len(items), batch_size):
         chunk = items[start : start + batch_size]
-        h = model.encode_batch([stacked for _, stacked, _ in chunk]).data
+        h = model.encode_batch([stacked for stacked, _, _ in chunk]).data
         pred = np.argmax(fc.apply(Tensor(h)).data, axis=-1)
         for col, (_, _, labels) in enumerate(chunk):
             hits += int((pred[: len(labels), col] == labels).sum())
@@ -267,47 +271,35 @@ def pretrain_encoder_ctc(model: TransducerModel, corpus: list[Utterance], *,
                          seed: int = 0) -> PretrainReport:
     """Train the encoder as a CTC sequence mapper on transcripts (no alignments)."""
     cfg = model.config
-    fc = Affine(cfg.hidden, cfg.num_classes, np.random.default_rng([seed, 0xFC]))
-    params = model.encoder_parameters() + fc.parameters()
-    items = [(utt, stack_frames(utt.features, cfg.stack_factor, cfg.stack_stride))
+    items = [(stack_frames(utt.features, cfg.stack_factor, cfg.stack_stride), None, utt.transcript)
              for utt in corpus]
+    fc = Affine(cfg.hidden, cfg.num_classes, np.random.default_rng([seed, 0xFC]))
 
-    def loss_fn(batch):
-        h_enc = model.encode_batch([stacked for _, stacked in batch])
+    def loss(h_enc, _, transcript):
+        out = losses.ctc_loss(fc.apply(h_enc), transcript, cfg.blank_id)
+        return out.value, out.node, max(1.0, float(len(transcript)))
 
-        def item_loss(j):
-            utt, stacked = batch[j]
-            logits = fc.apply(model.encode(stacked, h_enc, j))
-            out = losses.ctc_loss(logits, utt.transcript, cfg.blank_id)
-            return out.value, out.node, max(1.0, float(len(utt.transcript)))
-        return item_loss
-
-    history = train_with_loss(params, items, loss_fn, epochs=epochs, lr=lr,
-                              batch_size=batch_size, seed=seed)
+    history = train_with_loss(model, model.encoder_parameters() + fc.parameters(), items, loss,
+                              epochs=epochs, lr=lr, batch_size=batch_size, seed=seed)
     return PretrainReport("enc-ctc", epochs, corpus_hash(corpus), skipped=0, losses=history)
 
 
 def pretrain_prediction_lm(model: TransducerModel, corpus: list[Utterance], *,
                            epochs: int = 10, lr: float = 1e-3, batch_size: int = 8,
                            seed: int = 0) -> PretrainReport:
-    """Train the prediction network as a next-token language model on transcripts."""
+    """Train the prediction network as a next-token language model on
+    transcripts; an utterance with an empty transcript is skipped."""
     cfg = model.config
+    items = [(None, utt.transcript, utt.transcript) for utt in corpus if utt.transcript]
     fc = Affine(cfg.hidden, cfg.num_classes, np.random.default_rng([seed, 0xFC]))
-    params = model.prediction_parameters() + fc.parameters()
-    items = [utt for utt in corpus if len(utt.transcript) >= 1]
 
-    def loss_fn(batch):
-        h_pre = model.predict_batch([utt.transcript for utt in batch])
+    def loss(_, h_pre, transcript):
+        out = losses.lm_ce_loss(h_pre, fc, transcript)
+        return out.value, out.node, 1.0
 
-        def item_loss(j):
-            utt = batch[j]
-            out = losses.lm_ce_loss(model.predict(utt.transcript, h_pre, j), fc, utt.transcript)
-            return out.value, out.node, 1.0
-        return item_loss
-
-    history = train_with_loss(params, items, loss_fn, epochs=epochs, lr=lr,
-                              batch_size=batch_size, seed=seed)
-    return PretrainReport("lm", epochs, corpus_hash(corpus), skipped=0, losses=history)
+    history = train_with_loss(model, model.prediction_parameters() + fc.parameters(), items, loss,
+                              epochs=epochs, lr=lr, batch_size=batch_size, seed=seed)
+    return PretrainReport("lm", epochs, corpus_hash(corpus), len(corpus) - len(items), history)
 
 
 def pretrain_whole_network(model: TransducerModel, corpus: list[Utterance], variant: str, *,
@@ -320,21 +312,18 @@ def pretrain_whole_network(model: TransducerModel, corpus: list[Utterance], vari
     cfg = model.config
     build = LABEL_BUILDERS[variant]
     aligned, skipped = _aligned_items(model, corpus, space_id)
-    items = [(utt, stacked, build(labels, utt.transcript, cfg.blank_id, space_id))
-             for utt, stacked, labels in aligned]
+    items = []
+    for utt, stacked, labels in aligned:
+        try:
+            label = build(labels, utt.transcript, cfg.blank_id, space_id)
+        except ShapeError as exc:
+            raise ShapeError(f"utterance {utt.utt_id}: {exc}") from exc
+        items.append((stacked, utt.transcript, label))
 
-    def loss_fn(batch):
-        h_enc = model.encode_batch([stacked for _, stacked, _ in batch])
-        h_pre = model.predict_batch([utt.transcript for utt, _, _ in batch])
+    def loss(h_enc, h_pre, label):
+        out = losses.masked_ce_3d(model.joint(h_enc, h_pre), label)
+        return out.value, out.node, 1.0
 
-        def item_loss(j):
-            utt, stacked, label = batch[j]
-            logits = model.joint(model.encode(stacked, h_enc, j),
-                                 model.predict(utt.transcript, h_pre, j))
-            out = losses.masked_ce_3d(logits, label)
-            return out.value, out.node, 1.0
-        return item_loss
-
-    history = train_with_loss(model.parameters(), items, loss_fn, epochs=epochs, lr=lr,
+    history = train_with_loss(model, model.parameters(), items, loss, epochs=epochs, lr=lr,
                               batch_size=batch_size, seed=seed)
     return PretrainReport(variant, epochs, corpus_hash(corpus), skipped, history)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from rnnt_lab import cli
+from rnnt_lab import model as model_module
 from rnnt_lab.cli import main
 from rnnt_lab.corpus import load_corpus
 from rnnt_lab.harness import (ARM_ALIASES, ARM_INITIALIZERS, PRETRAIN_VARIANTS,
@@ -292,6 +293,23 @@ def test_checkpoint_extra_tensor_names_file_and_tensor(tmp_path, config_path, ca
     assert str(ckpt) in err and "bogus.w" in err
 
 
+def test_checkpoint_config_past_its_tensors_is_one_error_line(tmp_path, config_path, capsys,
+                                                             monkeypatch):
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(ckpt, TransducerModel(ModelConfig(hidden=4), seed=1))
+    payload = json.loads(ckpt.read_text())
+    payload["config"]["hidden"] = 1_000_000  # over tensors of hidden 4
+    ckpt.write_text(json.dumps(payload))
+    built = []
+    # a model at the config's extents asks for terabytes: none may be built
+    monkeypatch.setattr(model_module, "TransducerModel", lambda *args: built.append(args))
+    rc = main(["decode", "--config", config_path, "--checkpoint", str(ckpt),
+               "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "n.jsonl")])
+    assert rc == 2 and built == []
+    assert capsys.readouterr().err == (f"error: {ckpt}: parameter encoder.l0.w: stored shape "
+                                       "(32, 16) != model (32, 4000000)\n")
+
+
 def test_unknown_config_keys_name_file_and_keys(tmp_path, config_path, capsys):
     payload = json.loads(open(config_path).read())
     payload["bogus"] = 1
@@ -410,6 +428,31 @@ def test_word_with_more_pieces_than_frames_loads_and_is_skipped(tmp_path, config
                  "--corpus", str(corpus), "--out", out]) == 0
     manifest = json.loads((tmp_path / "enc_ce.json.manifest.json").read_text())
     assert manifest["skipped_utterances"] == 1
+
+
+@pytest.mark.parametrize("variant", ["y1", "y2", "y3"])
+def test_label_tensor_error_names_the_utterance(tmp_path, config_path, capsys, variant):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    corpus = corpus_dir / "train.jsonl"
+    lines = corpus.read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["transcript"] == [2, 3, 0, 4]
+    # two encoder frames (of stride 2) of silence in front, the words two frames
+    # later, but no leading space token: the line loads, its alignment spells [0, 2, 3, 0, 4]
+    record["features"] = record["features"][:4] + record["features"]
+    for word in record["words"]:
+        word["start"] += 2
+        word["end"] += 2
+    lines[1] = json.dumps(record)
+    corpus.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(["pretrain", "--variant", variant, "--config", config_path,
+                 "--corpus", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: utterance {record['id']}: ") and err.count("\n") == 1, err
+    assert "collapses to [0, 2, 3, 0, 4]" in err and not out.exists()
 
 
 def test_gap_token_other_than_space_names_file_and_line(tmp_path, config_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from rnnt_lab import (ConfigError, ModelConfig, ShapeError, Tape, Tensor, TransducerModel,
                       grad_check, load_checkpoint, rnnt_loss, save_checkpoint,
                       stack_frames)
+from rnnt_lab import model as mdl
 from rnnt_lab import numerics as nm
 
 
@@ -282,6 +283,39 @@ def test_checkpoint_bad_tensor_values_name_file_and_tensor(tiny_model, tmp_path,
     with pytest.raises(ConfigError) as exc:
         load_checkpoint(path)
     assert str(exc.value).startswith(f"{path}: {message}"), exc.value
+
+
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_parameter_shapes_are_the_built_model_s(layer_norm):
+    config = ModelConfig(input_dim=3, stack_factor=2, stack_stride=1, encoder_layers=3,
+                         prediction_layers=2, hidden=5, projection=4, vocab_size=4,
+                         use_layer_norm=layer_norm)
+    built = [(name, t.data.shape) for name, t in TransducerModel(config).named_parameters()]
+    assert list(mdl.parameter_shapes(config)) == built
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("hidden", 1_000_000, "parameter encoder.l0.w: stored shape (6, 20) != model (6, 4000000)"),
+    ("vocab_size", 1_000_000, "parameter embedding: stored shape (4, 5) != model (1000000, 5)"),
+    ("encoder_layers", 1_000_000, "checkpoint lacks 'encoder.l1.w'"),
+], ids=["hidden", "vocab-size", "encoder-layers"])
+def test_checkpoint_config_past_its_tensors_fails_before_a_model_is_built(
+        tiny_model, tmp_path, monkeypatch, field, value, message):
+    path = tmp_path / "model.json"
+    save_checkpoint(path, tiny_model)
+    payload = json.loads(path.read_text())
+    payload["config"][field] = value
+    path.write_text(json.dumps(payload))
+    built = []
+
+    def refuse(config, seed=0):  # a model at these extents would not fit in memory
+        built.append(config)
+        raise AssertionError(f"load_checkpoint built a model of {config}")
+
+    monkeypatch.setattr(mdl, "TransducerModel", refuse)
+    with pytest.raises(ConfigError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: {message}" and built == []
 
 
 def test_checkpoint_stable_across_saves(tiny_model, tmp_path):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from rnnt_lab import (ModelConfig, ModelDecoder, ShapeError, TableModel,
                       TransducerModel, build_y1, build_y2, build_y3,
                       greedy_decode, label_logits, stack_frames)
 from rnnt_lab import NumericsError, Tensor, pretrain
+from rnnt_lab.corpus import Utterance, load_corpus, save_corpus
 from rnnt_lab.harness import ARM_INITIALIZERS, ExperimentConfig, gen_corpus, train_transducer
 from rnnt_lab.numerics import Tape, active_tape, record_scalar_loss
 from rnnt_lab.pretrain import LABEL_BUILDERS
@@ -301,38 +304,53 @@ def test_non_finite_gradient_error_names_the_epoch():
     param = Tensor(np.zeros(2))
     calls = []
 
-    def loss_fn(batch):
-        def item_loss(j):
-            # one minibatch of two items per epoch: the third call is epoch 2's first
-            calls.append(batch[j])
-            grad = np.full(2, np.nan) if len(calls) > 2 else np.ones(2)
-            return 1.0, record_scalar_loss("probe", param, 1.0, grad), 1.0
-        return item_loss
+    def loss(h_enc, h_pre, target):
+        # one minibatch of two items per epoch: the third call is epoch 2's first
+        assert h_enc is None and h_pre is None
+        calls.append(target)
+        grad = np.full(2, np.nan) if len(calls) > 2 else np.ones(2)
+        return 1.0, record_scalar_loss("probe", param, 1.0, grad), 1.0
 
+    items = [(None, None, 0), (None, None, 1)]
     with pytest.raises(NumericsError, match=r"epoch 2, minibatch 1: Adam.step 2: non-finite"):
-        pretrain.train_with_loss([param], [0, 1], loss_fn, epochs=3, batch_size=2)
+        pretrain.train_with_loss(None, [param], items, loss, epochs=3, batch_size=2)
     assert len(calls) == 4
+
+
+class _BatchRecorder:
+    """A model stand-in: ``encode_batch`` records each minibatch's frames
+    and ``encode`` hands out column ``col`` of the last one."""
+
+    def __init__(self):
+        self.batches = []
+
+    def encode_batch(self, frames):
+        self.batches.append(list(frames))
+        return self.batches[-1]
+
+    def encode(self, x, h_batch, col):
+        assert h_batch[col] == x
+        return x
 
 
 def test_train_with_loss_gives_each_item_one_tape_and_backward(monkeypatch):
     param = Tensor(np.zeros(2))
-    batches, items_run, backwards = [], [], []
+    model, items_run, backwards = _BatchRecorder(), [], []
     real_backward = Tape.backward
 
     def counting_backward(tape, output, seed=1.0):
         backwards.append(tape)
         return real_backward(tape, output, seed)
 
-    def loss_fn(batch):
-        batches.append(list(batch))
-
-        def item_loss(j):
-            items_run.append(batch[j])
-            return 1.0, record_scalar_loss("probe", param, 1.0, np.ones(2)), 1.0
-        return item_loss
+    def loss(h_enc, h_pre, target):
+        assert h_pre is None and target == -h_enc
+        items_run.append(h_enc)
+        return 1.0, record_scalar_loss("probe", param, 1.0, np.ones(2)), 1.0
 
     monkeypatch.setattr(Tape, "backward", counting_backward)
-    pretrain.train_with_loss([param], list(range(5)), loss_fn, epochs=3, batch_size=2)
+    items = [(i, None, -i) for i in range(5)]
+    pretrain.train_with_loss(model, [param], items, loss, epochs=3, batch_size=2)
+    batches = model.batches
     assert [len(b) for b in batches] == [2, 2, 1] * 3
     assert [sorted(sum(batches[e * 3 : e * 3 + 3], [])) for e in range(3)] == [[0, 1, 2, 3, 4]] * 3
     assert items_run == sum(batches, [])
@@ -375,6 +393,51 @@ SCHEDULES = {
     "whole-y2": lambda model, corpus, cfg: pretrain.pretrain_whole_network(
         model, corpus, "y2", space_id=cfg.space_id, epochs=2, batch_size=3).losses,
 }
+
+
+# the sides of the network each schedule trains: (encoder, prediction network)
+SCHEDULE_SIDES = {"rnnt": (True, True), "enc-ce": (True, False), "enc-ctc": (True, False),
+                  "lm": (False, True), "whole-y2": (True, True)}
+
+
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
+def test_each_schedule_runs_the_sides_it_uses_once_per_minibatch(schedule, monkeypatch):
+    cfg = small_experiment_config(num_train=7, batch_size=3)
+    train, _ = gen_corpus(cfg)
+    taped = {"encode_batch": 0, "predict_batch": 0}
+
+    def counting(name):
+        real = getattr(TransducerModel, name)
+
+        def wrapper(*args, **kwargs):
+            if active_tape() is not None:  # enc-ce's frame accuracy encodes untaped
+                assert sys._getframe(1).f_code.co_name == "train_with_loss", name
+                taped[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(TransducerModel, name, wrapper)
+
+    for name in taped:
+        counting(name)
+    SCHEDULES[schedule](TransducerModel(cfg.model, seed=cfg.seed), train, cfg)
+    minibatches = 2 * 3  # 2 epochs of 7 utterances in minibatches of 3, 3 and 1
+    encodes, predicts = SCHEDULE_SIDES[schedule]
+    assert taped == {"encode_batch": minibatches * encodes,
+                     "predict_batch": minibatches * predicts}
+
+
+def test_lm_counts_utterances_with_an_empty_transcript_as_skipped(tmp_path):
+    cfg = small_experiment_config(num_train=6)
+    train, _ = gen_corpus(cfg)
+    empty = Utterance("train-empty", train[0].features, words=[], transcript=[])
+    path = tmp_path / "train.jsonl"
+    save_corpus(path, train[:3] + [empty] + train[3:])
+    loaded = load_corpus(path, cfg.model, cfg.space_id)
+    assert len(loaded) == 7
+    base = TransducerModel(cfg.model, seed=cfg.seed)
+    report = pretrain.pretrain_prediction_lm(base.clone(), loaded, epochs=2)
+    assert report.manifest()["skipped_utterances"] == 1
+    # the empty transcript is not trained on: the losses are those of the other six
+    assert report.losses == pretrain.pretrain_prediction_lm(base.clone(), train, epochs=2).losses
 
 
 @pytest.mark.parametrize("layer_norm", [False, True])
