@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,10 +27,13 @@ DELAY_SUFFIX = ".delay.csv"  # decode writes <out> and <out>.delay.csv
 
 def _check_out(path: str, companion_suffix: str = "") -> None:
     """Refuse an output path, or the companion file written next to it, that
-    is a directory, before any work is done."""
+    is a directory or lies in no existing directory, before any work is done."""
     for target in (path, path + companion_suffix):
         if Path(target).is_dir():
             raise ConfigError(f"--out {path}: {target} is a directory, not a file path")
+        folder = os.path.dirname(target) or "."
+        if not Path(folder).is_dir():
+            raise ConfigError(f"--out {path}: directory {folder} does not exist")
 
 
 def _score_line(token_error: float, mean_delay: float | None) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -250,9 +250,6 @@ class MetricsRow:
     mean_delay: float | None
 
 
-CSV_COLUMNS = ("config_hash", "arm", "epoch", "train_loss", "token_error_rate", "mean_delay")
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -263,9 +260,9 @@ def _csv_cell(value) -> str:
 
 def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(",".join(f.name for f in fields(MetricsRow)) + "\n")
         for row in rows:
-            fh.write(",".join(_csv_cell(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
+            fh.write(",".join(map(_csv_cell, astuple(row))) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ class Affine:
     """A plain affine map y = x @ W + b, used for throwaway classifier heads."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        self.w = nm.xavier_uniform(rng, (in_dim, out_dim), in_dim, out_dim)
+        self.w = nm.xavier_uniform(rng, (in_dim, out_dim))
         self.b = Tensor(np.zeros(out_dim))
 
     def apply(self, x: Tensor) -> Tensor:
@@ -158,23 +158,6 @@ class Affine:
 
     def parameters(self) -> list[Tensor]:
         return [self.w, self.b]
-
-
-class LstmLayer:
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator, layer_norm: bool):
-        self.hidden = hidden
-        self.layer_norm = layer_norm
-        self.w = nm.xavier_uniform(rng, (in_dim, 4 * hidden), in_dim, 4 * hidden)
-        self.r = nm.xavier_uniform(rng, (hidden, 4 * hidden), hidden, 4 * hidden)
-        self.b = Tensor(np.zeros(4 * hidden))
-        self.ln_gain = Tensor(np.ones(4 * hidden)) if layer_norm else None
-        self.ln_bias = Tensor(np.zeros(4 * hidden)) if layer_norm else None
-
-    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = [(f"{prefix}.w", self.w), (f"{prefix}.r", self.r), (f"{prefix}.b", self.b)]
-        if self.layer_norm:
-            out += [(f"{prefix}.ln_gain", self.ln_gain), (f"{prefix}.ln_bias", self.ln_bias)]
-        return out
 
 
 def pad_batch(seqs) -> np.ndarray:
@@ -193,96 +176,80 @@ class LstmStack:
     ``forward`` runs every layer over a right-padded time-major (T, B, D)
     batch, or a (T, D) sequence as a batch of one, as one ``lstm_layer`` per
     layer (taped, one BPTT record each); ``step`` advances the untaped
-    per-layer (n, H) states by one input row each.
+    per-layer (n, H) states by one input row each. ``layers`` holds each
+    layer's ``(w, r, b, ln_gain, ln_bias)`` tensors, the last two None
+    without layer norm.
     """
 
-    def __init__(self, in_dim: int, hidden: int, num_layers: int,
-                 rng: np.random.Generator, layer_norm: bool):
-        self.layers = [
-            LstmLayer(in_dim if i == 0 else hidden, hidden, rng, layer_norm)
-            for i in range(num_layers)
-        ]
-
-    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.extend(layer.named_parameters(f"{prefix}.l{i}"))
-        return out
+    def __init__(self, layers):
+        self.layers = [(*layer, None, None)[:5] for layer in layers]
 
     def forward(self, x) -> Tensor:
         """The top layer's hidden rows over ``x``, a Tensor or a plain array of data."""
         for layer in self.layers:
-            x = nm.lstm_layer(x, layer.w, layer.r, layer.b, layer.ln_gain, layer.ln_bias)
+            x = nm.lstm_layer(x, *layer)
         return x
 
     def initial_state(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(np.zeros((1, l.hidden)), np.zeros((1, l.hidden))) for l in self.layers]
+        return [(np.zeros((1, r.shape[0])), np.zeros((1, r.shape[0])))
+                for _, r, *_ in self.layers]
 
     def step(self, state, x_rows: np.ndarray):
         """One step of n sequences: (n, D) input rows and per-layer (n, H) (h, c)
         pairs -> the (n, H) output rows and the new state."""
         new_state = []
-        for layer, (h, c) in zip(self.layers, state):
-            z = x_rows @ layer.w.data
-            z += h @ layer.r.data
-            z += layer.b.data
-            ln = (layer.ln_gain.data, layer.ln_bias.data) if layer.layer_norm else None
+        for (w, r, b, ln_gain, ln_bias), (h, c) in zip(self.layers, state):
+            z = x_rows @ w.data
+            z += h @ r.data
+            z += b.data
+            ln = None if ln_gain is None else (ln_gain.data, ln_bias.data)
             h, c, _ = nm.lstm_cell(z, c, ln=ln)
             new_state.append((h, c))
             x_rows = h
         return x_rows, new_state
 
 
-class JointParams:
-    """Two linear layers: per-side projections summed, then output affine to K+1."""
-
-    def __init__(self, enc_dim: int, pre_dim: int, projection: int, num_classes: int,
-                 rng: np.random.Generator):
-        self.w_enc = nm.xavier_uniform(rng, (enc_dim, projection), enc_dim, projection)
-        self.w_pre = nm.xavier_uniform(rng, (pre_dim, projection), pre_dim, projection)
-        self.b = Tensor(np.zeros(projection))
-        self.w_out = nm.xavier_uniform(rng, (projection, num_classes), projection, num_classes)
-        self.b_out = Tensor(np.zeros(num_classes))
-
-    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.w_enc", self.w_enc), (f"{prefix}.w_pre", self.w_pre),
-                (f"{prefix}.b", self.b), (f"{prefix}.w_out", self.w_out),
-                (f"{prefix}.b_out", self.b_out)]
-
-
 class TransducerModel:
+    """The model is its named-parameter table ``params``, built in
+    ``parameter_shapes`` order; the encoder, prediction network and joint
+    hold their tensors, resolved once from the table."""
+
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng([seed, 0x5EED])
-        self.encoder = LstmStack(config.encoder_input_dim, config.hidden,
-                                 config.encoder_layers, rng, config.use_layer_norm)
-        self.embedding = nm.xavier_uniform(rng, (config.vocab_size, config.hidden),
-                                           config.vocab_size, config.hidden)
-        self.prediction = LstmStack(config.hidden, config.hidden,
-                                    config.prediction_layers, rng, config.use_layer_norm)
-        self.joint_params = JointParams(config.hidden, config.hidden, config.projection,
-                                        config.num_classes, rng)
+        self.params = {name: _initial_tensor(name, shape, rng)
+                       for name, shape in parameter_shapes(config)}
+        self.encoder = LstmStack(self._owners("encoder."))
+        self.embedding = self.params["embedding"]
+        self.prediction = LstmStack(self._owners("prediction."))
+        (self.joint_params,) = self._owners("joint.")
+
+    def _owners(self, prefix: str) -> list[tuple[Tensor, ...]]:
+        """The tensors named ``prefix...``, grouped by owner (the name less its
+        last part: a layer or the joint), in layout order."""
+        owners = {}
+        for name, t in self.params.items():
+            if name.startswith(prefix):
+                owners.setdefault(name.rpartition(".")[0], []).append(t)
+        return [tuple(group) for group in owners.values()]
 
     # -- parameters and state -------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = self.encoder.named_parameters("encoder")
-        out.append(("embedding", self.embedding))
-        out += self.prediction.named_parameters("prediction")
-        out += self.joint_params.named_parameters("joint")
-        return out
+        return list(self.params.items())
 
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return list(self.params.values())
 
     def encoder_parameters(self) -> list[Tensor]:
-        return [t for _, t in self.encoder.named_parameters("encoder")]
+        return [t for name, t in self.params.items() if name.startswith("encoder.")]
 
     def prediction_parameters(self) -> list[Tensor]:
-        return [self.embedding] + [t for _, t in self.prediction.named_parameters("prediction")]
+        return [t for name, t in self.params.items()
+                if name.startswith(("embedding", "prediction."))]
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_parameters()}
+        return {name: t.data.copy() for name, t in self.params.items()}
 
     def clone(self) -> "TransducerModel":
         """An independent copy of config and weights, without gradients."""
@@ -332,10 +299,10 @@ class TransducerModel:
 
     def joint(self, h_enc: Tensor, h_pre: Tensor) -> Tensor:
         """Lattice of logits: (T, H) x (U+1, H) -> (T, U+1, K+1)."""
-        jp = self.joint_params
-        if h_enc.shape[1] != jp.w_enc.shape[0] or h_pre.shape[1] != jp.w_pre.shape[0]:
+        w_enc, w_pre = self.joint_params[:2]
+        if h_enc.shape[1] != w_enc.shape[0] or h_pre.shape[1] != w_pre.shape[0]:
             raise ShapeError(f"joint: widths {h_enc.shape} / {h_pre.shape} do not match projections")
-        return nm.joint(h_enc, h_pre, jp.w_enc, jp.w_pre, jp.b, jp.w_out, jp.b_out)
+        return nm.joint(h_enc, h_pre, *self.joint_params)
 
     def forward(self, features, targets: list[int]) -> Tensor:
         """Stacked features (or raw (T, D) Tensor) + targets -> joint logits."""
@@ -374,9 +341,9 @@ class TransducerModel:
     def joint_row(self, h_enc_row: np.ndarray, h_pre_row: np.ndarray) -> np.ndarray:
         """Joint logits of one encoder row against one (H,) or n stacked (n, H)
         prediction rows: (K+1,) or (n, K+1)."""
-        jp = self.joint_params
-        return nm.joint_output(h_enc_row @ jp.w_enc.data, h_pre_row @ jp.w_pre.data,
-                               jp.b.data, jp.w_out.data, jp.b_out.data)[1]
+        w_enc, w_pre, b, w_out, b_out = self.joint_params
+        return nm.joint_output(h_enc_row @ w_enc.data, h_pre_row @ w_pre.data,
+                               b.data, w_out.data, b_out.data)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +388,7 @@ def load_checkpoint(path) -> TransducerModel:
         state = {name: _checkpoint_tensor(name, rec) for name, rec in tensors.items()}
         _check_state(config, state)  # before any weight of the config's extents is allocated
         model = TransducerModel(config)
-        for name, t in model.named_parameters():
+        for name, t in model.params.items():
             t.data[...] = state[name]
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint lacks {exc}") from exc
@@ -432,7 +399,8 @@ def load_checkpoint(path) -> TransducerModel:
 
 def parameter_shapes(config: ModelConfig):
     """(name, shape) of each parameter of ``TransducerModel(config)``, in
-    ``named_parameters`` order, without allocating any of them."""
+    layout order, without allocating any of them: the only declaration of the
+    layout. ``_initial_tensor`` gives each its starting value."""
     h, p, gates = config.hidden, config.projection, 4 * config.hidden
 
     def lstm(prefix, in_dim, num_layers):
@@ -448,6 +416,15 @@ def parameter_shapes(config: ModelConfig):
     yield from lstm("prediction", h, config.prediction_layers)
     yield from (("joint.w_enc", (h, p)), ("joint.w_pre", (h, p)), ("joint.b", (p,)),
                 ("joint.w_out", (p, config.num_classes)), ("joint.b_out", (config.num_classes,)))
+
+
+def _initial_tensor(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
+    """A 2-D weight is Xavier-uniform from its (in, out) shape, drawn from
+    ``rng`` in layout order; a layer-norm gain starts at ones, any other
+    vector at zeros."""
+    if len(shape) == 2:
+        return nm.xavier_uniform(rng, shape)
+    return Tensor(np.ones(shape) if name.endswith(".ln_gain") else np.zeros(shape))
 
 
 def _check_state(config: ModelConfig, state: dict[str, np.ndarray]) -> None:

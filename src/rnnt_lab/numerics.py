@@ -459,7 +459,9 @@ def logsumexp(xs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
+def xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> Tensor:
+    """A (fan_in, fan_out) weight drawn uniformly from +-sqrt(6 / (fan_in + fan_out))."""
+    fan_in, fan_out = shape
     scale = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-scale, scale, size=shape))
 

@@ -541,6 +541,31 @@ def test_companion_output_that_is_a_directory_is_rejected_before_any_work(
     assert list(companion_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["pretrain", "--variant", "y1"], ["train"],
+                                     ["decode", "--checkpoint"]], ids=lambda c: c[0])
+def test_out_in_a_missing_directory_is_rejected_before_any_work(tmp_path, config_path, capsys,
+                                                                monkeypatch, command):
+    corpus_dir = tmp_path / "c"
+    assert main(["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir)]) == 0
+    checkpoint = tmp_path / "ckpt.json"
+    save_checkpoint(checkpoint, TransducerModel(ExperimentConfig.from_json(config_path).model))
+
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the --out check")
+
+    monkeypatch.setattr(cli, "train_transducer", never)
+    monkeypatch.setattr(cli, "evaluate_model", never)
+    monkeypatch.setitem(cli.ARM_INITIALIZERS, "whole_y1", never)
+    capsys.readouterr()
+    out = tmp_path / "nodir" / "m.json"
+    argv = command + ([str(checkpoint)] if command[0] == "decode" else []) + [
+        "--config", config_path, "--corpus", str(corpus_dir / "train.jsonl"), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out}: directory {out.parent} does not exist\n", err
+    assert not out.parent.exists()
+
+
 _CRITERION_9 = ExperimentConfig(
     model=ModelConfig(input_dim=4, stack_factor=2, stack_stride=2, encoder_layers=1,
                       prediction_layers=1, hidden=12, projection=8, vocab_size=5),

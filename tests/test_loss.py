@@ -465,7 +465,7 @@ def test_frame_ce_gradient_through_encoder(tiny_model):
             tape.backward(out.node)
         return out.value
 
-    params = [tiny_model.encoder.layers[0].w, fc.w, fc.b]
+    params = [tiny_model.params["encoder.l0.w"], fc.w, fc.b]
     assert grad_check(f, params, eps=1e-5) < 1e-4
 
 
@@ -608,7 +608,7 @@ def test_lm_ce_gradient_through_prediction_network(tiny_model):
             tape.backward(out.node)
         return out.value
 
-    params = [tiny_model.embedding, tiny_model.prediction.layers[0].w, fc.w]
+    params = [tiny_model.params["embedding"], tiny_model.params["prediction.l0.w"], fc.w]
     assert grad_check(f, params, eps=1e-5) < 1e-4
 
 
